@@ -13,7 +13,6 @@ from .automorphisms import (
     apply_aut,
     enumerate_kind1,
     enumerate_kind2,
-    is_automorphism_witness,
     kind2_count,
     letter_order,
 )
@@ -61,12 +60,9 @@ from .words import (
     count_reduced_words,
     cyclically_reduce,
     format_word,
-    free_reduce,
-    invert,
     iter_reduced_words,
     letter_key,
     letter_name,
-    multiply,
     parse_word,
     word_sort_key,
 )
@@ -98,9 +94,6 @@ __all__ = [
     "enumerate_kind1",
     "enumerate_kind2",
     "format_word",
-    "free_reduce",
-    "invert",
-    "is_automorphism_witness",
     "is_basis_pair_f2",
     "is_primitive",
     "iter_reduced_words",
@@ -109,7 +102,6 @@ __all__ = [
     "letter_name",
     "letter_order",
     "make_report",
-    "multiply",
     "parse_word",
     "primitive_density",
     "primitive_orbit_oracle",

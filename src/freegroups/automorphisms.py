@@ -13,7 +13,7 @@ exactly when x^-1 is in A.  This is an automorphism; its inverse is again of the
 same shape, with multiplier a^-1 and member set (A minus a) plus a^-1.
 
 Descriptors are plain data and may be built in invalid states; validity is
-checked by is_automorphism_witness and enforced on application.  The kind 2
+checked by their is_valid method and enforced on application.  The kind 2
 enumeration for rank n has exactly 2n * 4^(n-1) entries: multipliers in
 letter order, and for each of the other n-1 generator pairs {x, x^-1} the
 four membership patterns (neither, x, x^-1, both) in counter order with the
@@ -92,19 +92,12 @@ class MultiplierAut:
             "members": sorted(self.members, key=letter_key),
         }
 
-    def __repr__(self) -> str:
+    def __str__(self) -> str:
         mem = ", ".join(letter_name(x) for x in sorted(self.members, key=letter_key))
-        return f"MultiplierAut({letter_name(self.multiplier)}; {{{mem}}})"
+        return f"({letter_name(self.multiplier)}; {{{mem}}})"
 
-
-def is_automorphism_witness(aut) -> bool:
-    """Whether the descriptor really defines an automorphism.
-
-    Kind 1 needs a signed permutation; kind 2 needs a in A and a^-1 not in
-    A (then the same-shape inverse descriptor undoes it, so the induced
-    endomorphism is invertible).
-    """
-    return aut.is_valid()
+    def __repr__(self) -> str:
+        return f"MultiplierAut{self}"
 
 
 def _apply_k1_letters(images: tuple[int, ...], letters) -> tuple[int, ...]:

@@ -17,13 +17,7 @@ from .primitivity import is_basis_pair_f2, is_primitive, whitehead_minimize
 from .stallings import build_subgroup_graph
 from .verify import primitive_density, reports_to_json, run_claims
 from .whitehead_graph import build_whitehead_graph
-from .words import (
-    are_conjugate,
-    format_word,
-    letter_key,
-    letter_name,
-    parse_word,
-)
+from .words import are_conjugate, format_word, letter_name, parse_word
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,13 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _format_aut(aut) -> str:
-    members = ", ".join(
-        letter_name(x) for x in sorted(aut.members, key=letter_key)
-    )
-    return f"({letter_name(aut.multiplier)}; {{{members}}})"
-
-
 def _cmd_reduce(args) -> int:
     print(format_word(parse_word(args.word)))
     return 0
@@ -143,10 +130,13 @@ def _cmd_primitive(args) -> int:
         trace = whitehead_minimize(w, args.rank)
         length = len(trace.start.cyclic_core())
         for aut, new_len in trace.steps:
-            print(f"{length} -> {new_len}  {_format_aut(aut)}")
+            print(f"{length} -> {new_len}  {aut}")
             length = new_len
         print(f"terminal cyclic word: {format_word(trace.final.word)}")
-    if is_primitive(w, args.rank):
+        primitive = len(trace.final) == 1  # the empty word ends at length 0
+    else:
+        primitive = is_primitive(w, args.rank)
+    if primitive:
         print("primitive")
         return 0
     print("not primitive")

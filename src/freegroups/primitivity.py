@@ -37,6 +37,7 @@ from .automorphisms import (
     enumerate_kind2,
     letter_order,
 )
+from .whitehead_graph import whitehead_edges
 from .words import (
     CyclicWord,
     Word,
@@ -78,11 +79,6 @@ class MinimizationTrace:
             ],
             "final": format_word(self.final.word),
         }
-
-
-def _cyclic_pairs(core: tuple[int, ...]) -> list[tuple[int, int]]:
-    k = len(core)
-    return [(core[i], -core[(i + 1) % k]) for i in range(k)]
 
 
 def _degrees(pairs) -> dict[int, int]:
@@ -171,7 +167,7 @@ def _minimize_letters(letters: tuple[int, ...], rank: int, engine: str = "auto")
     steps: list[tuple[MultiplierAut, int]] = []
     use_cut = engine == "cut" or (engine == "auto" and rank > RANK_ENUM_LIMIT)
     while len(core) > 1:
-        pairs = _cyclic_pairs(core)
+        pairs = whitehead_edges(core)
         deg = _degrees(pairs)
         found = _find_move_cut(pairs, deg, rank) if use_cut else _find_move_enum(pairs, deg, rank)
         if found is None:

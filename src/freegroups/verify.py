@@ -2,9 +2,10 @@
 
 Each checker enumerates an exhaustive ball of reduced words (never a
 sample), tests one combinatorial claim on every element, and returns a
-VerificationReport.  Claim identifiers are short opaque tags fixed by the
-command line interface; status is "pass" exactly when the counterexample
-list is empty.
+VerificationReport.  Claim identifiers are short opaque tags; the claim
+table at the end of this module fixes them, with each claim's standard
+grid and caps.  Status is "pass" exactly when the counterexample list is
+empty.
 
 Reports serialize to stable JSON: keys sorted, two space indent, trailing
 newline, and the measured wall time zeroed out, so a rerun with identical
@@ -18,22 +19,12 @@ import json
 import time
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable, NamedTuple
 
 from .primitivity import is_basis_pair_f2, is_primitive, whitehead_minimize
 from .stallings import build_subgroup_graph
 from .whitehead_graph import build_whitehead_graph
 from .words import Word, cyclically_reduce, format_word, iter_reduced_words
-
-CLAIM_IDS = (
-    "fact1",
-    "prop24",
-    "npbig",
-    "fincov",
-    "nielsen-xcheck",
-    "claimI",
-    "claimII",
-    "lemma38",
-)
 
 
 @dataclass
@@ -102,7 +93,8 @@ def build_w(rank: int) -> Word:
     for m in range(1, rank):
         letters += [m, -(m + 1), m]
     w = Word(letters)
-    assert len(w) == 3 * rank + 1  # no cancellation in the concatenation
+    if len(w) != 3 * rank + 1:
+        raise RuntimeError(f"seed word of rank {rank} cancelled to length {len(w)}")
     return w
 
 
@@ -115,7 +107,11 @@ class WijFamily:
     table: dict
 
     def __post_init__(self):
-        assert len(self.table) == self.rank * self.rank
+        if len(self.table) != self.rank * self.rank:
+            raise ValueError(
+                f"need {self.rank * self.rank} translates for rank {self.rank}, "
+                f"got {len(self.table)}"
+            )
 
 
 def wij_family(rank: int) -> WijFamily:
@@ -157,11 +153,10 @@ def verify_npbig(rank: int, max_len: int) -> VerificationReport:
     """Every word a in the ball has a selected translate w_ij a that is
     cyclically reduced, has non-separable Whitehead graph, and is not
     primitive."""
-    if rank not in (2, 3):
-        raise ValueError(f"rank must be 2 or 3, got {rank}")
-    if not 0 <= max_len <= 6:
-        raise ValueError(f"max_len must be in 0..6, got {max_len}")
-    t0 = time.perf_counter()
+    return _CLAIMS["npbig"].run(rank=rank, max_len=max_len)
+
+
+def _npbig(rank: int, max_len: int):
     fam = wij_family(rank)
     counterexamples = []
     checked = 0
@@ -177,13 +172,7 @@ def verify_npbig(rank: int, max_len: int) -> VerificationReport:
             ok = not is_primitive(t, rank)
         if not ok:
             counterexamples.append(format_word(a))
-    return make_report(
-        "npbig",
-        {"rank": rank, "max_len": max_len},
-        counterexamples,
-        {"words_checked": checked},
-        time.perf_counter() - t0,
-    )
+    return counterexamples, {"words_checked": checked}
 
 
 def verify_fincov(rank: int, max_len: int) -> VerificationReport:
@@ -191,11 +180,10 @@ def verify_fincov(rank: int, max_len: int) -> VerificationReport:
     non-primitive translate w_ij a.  Records how many of the n^2 pairs work
     per word, and how often the pair select_wij picks is not among them
     (never, when the stronger per-word claim holds)."""
-    if rank not in (2, 3):
-        raise ValueError(f"rank must be 2 or 3, got {rank}")
-    if not 0 <= max_len <= 6:
-        raise ValueError(f"max_len must be in 0..6, got {max_len}")
-    t0 = time.perf_counter()
+    return _CLAIMS["fincov"].run(rank=rank, max_len=max_len)
+
+
+def _fincov(rank: int, max_len: int):
     fam = wij_family(rank)
     counterexamples = []
     histogram: dict[int, int] = {}
@@ -216,36 +204,27 @@ def verify_fincov(rank: int, max_len: int) -> VerificationReport:
             selected_failures += 1
         if multiplicity == 0:
             counterexamples.append(format_word(a))
-    # a covering selected pair forces multiplicity >= 1 word by word
-    assert not (selected_failures == 0 and counterexamples)
-    return make_report(
-        "fincov",
-        {"rank": rank, "max_len": max_len},
-        counterexamples,
-        {
-            "words_checked": checked,
-            "multiplicity_histogram": {
-                str(k): histogram[k] for k in sorted(histogram)
-            },
-            "selected_pair_failures": selected_failures,
-        },
-        time.perf_counter() - t0,
-    )
+    if selected_failures == 0 and counterexamples:
+        raise RuntimeError(
+            "a covering selected pair forces multiplicity >= 1 word by word, "
+            f"yet {counterexamples[0]!r} has none"
+        )
+    return counterexamples, {
+        "words_checked": checked,
+        "multiplicity_histogram": {str(k): histogram[k] for k in sorted(histogram)},
+        "selected_pair_failures": selected_failures,
+    }
 
 
 def verify_fact1(rank: int = 4, max_m: int | None = None, max_k: int = 3) -> VerificationReport:
     """Positive power blocks e1^k1 ... e_m^km with every exponent >= 2 are
     non-primitive, and their minimization traces are empty: no single move
     shortens them at all."""
-    if not 1 <= rank <= 4:
-        raise ValueError(f"rank must be in 1..4, got {rank}")
-    if max_m is None:
-        max_m = rank
-    if not 1 <= max_m <= rank:
-        raise ValueError(f"max_m must be in 1..{rank}, got {max_m}")
-    if not 2 <= max_k <= 3:
-        raise ValueError(f"max_k must be 2 or 3, got {max_k}")
-    t0 = time.perf_counter()
+    max_m = rank if max_m is None else max_m
+    return _CLAIMS["fact1"].run(rank=rank, max_m=max_m, max_k=max_k)
+
+
+def _fact1(rank: int, max_m: int, max_k: int):
     counterexamples = []
     checked = 0
     for m in range(1, max_m + 1):
@@ -258,24 +237,16 @@ def verify_fact1(rank: int = 4, max_m: int | None = None, max_k: int = 3) -> Ver
             trace = whitehead_minimize(word, rank)
             if trace.steps or is_primitive(word, rank):
                 counterexamples.append(format_word(word))
-    return make_report(
-        "fact1",
-        {"rank": rank, "max_m": max_m, "max_k": max_k},
-        counterexamples,
-        {"words_checked": checked},
-        time.perf_counter() - t0,
-    )
+    return counterexamples, {"words_checked": checked}
 
 
 def verify_prop24(rank: int, max_len: int) -> VerificationReport:
     """The Whitehead graph of every cyclically reduced primitive in the
     ball is separable: disconnected or carrying a cut vertex."""
-    if rank not in (2, 3):
-        raise ValueError(f"rank must be 2 or 3, got {rank}")
-    cap = 8 if rank == 2 else 6
-    if not 0 <= max_len <= cap:
-        raise ValueError(f"max_len must be in 0..{cap} for rank {rank}")
-    t0 = time.perf_counter()
+    return _CLAIMS["prop24"].run(rank=rank, max_len=max_len)
+
+
+def _prop24(rank: int, max_len: int):
     counterexamples = []
     checked = 0
     primitives = 0
@@ -292,17 +263,11 @@ def verify_prop24(rank: int, max_len: int) -> VerificationReport:
         separable_by_core[core] = verdict.separable
         if not verdict.separable:
             counterexamples.append(format_word(core.word))
-    return make_report(
-        "prop24",
-        {"rank": rank, "max_len": max_len},
-        counterexamples,
-        {
-            "words_checked": checked,
-            "primitives_found": primitives,
-            "distinct_cores": len(separable_by_core),
-        },
-        time.perf_counter() - t0,
-    )
+    return counterexamples, {
+        "words_checked": checked,
+        "primitives_found": primitives,
+        "distinct_cores": len(separable_by_core),
+    }
 
 
 def verify_nielsen_xcheck(max_pair_len: int) -> VerificationReport:
@@ -310,9 +275,10 @@ def verify_nielsen_xcheck(max_pair_len: int) -> VerificationReport:
     on every pair with |a| + |b| within the bound: the commutator conjugacy
     test, folding to the rose, and (when they say yes) primitivity of both
     coordinates."""
-    if not 0 <= max_pair_len <= 6:
-        raise ValueError(f"max_pair_len must be in 0..6, got {max_pair_len}")
-    t0 = time.perf_counter()
+    return _CLAIMS["nielsen-xcheck"].run(max_pair_len=max_pair_len)
+
+
+def _nielsen_xcheck(max_pair_len: int):
     ball = list(iter_reduced_words(2, max_pair_len, include_empty=True))
     counterexamples = []
     checked = 0
@@ -331,13 +297,7 @@ def verify_nielsen_xcheck(max_pair_len: int) -> VerificationReport:
                 ok = is_primitive(a, 2) and is_primitive(b, 2)
             if not ok:
                 counterexamples.append(f"({format_word(a)}, {format_word(b)})")
-    return make_report(
-        "nielsen-xcheck",
-        {"max_pair_len": max_pair_len},
-        counterexamples,
-        {"words_checked": checked, "basis_pairs": basis_pairs},
-        time.perf_counter() - t0,
-    )
+    return counterexamples, {"words_checked": checked, "basis_pairs": basis_pairs}
 
 
 # --- the two stacked generating families and their witnesses ---
@@ -366,18 +326,15 @@ def _power_tail(n: int) -> Word:
     return Word(letters)
 
 
-def _check_truncation(n: int):
-    if not 2 <= n <= 10:
-        raise ValueError(f"truncation must be in 2..10, got {n}")
-
-
 def verify_claim_one(truncation: int) -> VerificationReport:
     """The chained generators b_i = e_i e_{i+1}^2: their partial products
     telescope to e1 e2^3 ... e_{n+1}^3 e_{n+2}^2 exactly, n of them plus
     e_{n+1} generate the whole rank n+1 group, yet the b_i alone span a
     rank N subgroup that misses e1."""
-    _check_truncation(truncation)
-    t0 = time.perf_counter()
+    return _CLAIMS["claimI"].run(truncation=truncation)
+
+
+def _claim_one(truncation: int):
     counterexamples = []
     checks = 0
     for n in range(1, truncation + 1):
@@ -401,20 +358,16 @@ def verify_claim_one(truncation: int) -> VerificationReport:
     checks += 1
     if graph.subgroup_rank() != truncation:
         counterexamples.append(format_word(_b_word(truncation)))
-    return make_report(
-        "claimI",
-        {"truncation": truncation},
-        counterexamples,
-        {"words_checked": checks, "subgroup_rank": graph.subgroup_rank()},
-        time.perf_counter() - t0,
-    )
+    return counterexamples, {"words_checked": checks, "subgroup_rank": graph.subgroup_rank()}
 
 
 def verify_claim_two(truncation: int) -> VerificationReport:
     """The contradiction witnesses: e2^3 ... e_{n+1}^3 e_{n+2}^2 and the
     bare square e_{n+2}^2 are both non-primitive in rank n+2."""
-    _check_truncation(truncation)
-    t0 = time.perf_counter()
+    return _CLAIMS["claimII"].run(truncation=truncation)
+
+
+def _claim_two(truncation: int):
     counterexamples = []
     checks = 0
     for n in range(1, truncation + 1):
@@ -423,21 +376,17 @@ def verify_claim_two(truncation: int) -> VerificationReport:
             checks += 1
             if is_primitive(witness, rank):
                 counterexamples.append(format_word(witness))
-    return make_report(
-        "claimII",
-        {"truncation": truncation},
-        counterexamples,
-        {"words_checked": checks},
-        time.perf_counter() - t0,
-    )
+    return counterexamples, {"words_checked": checks}
 
 
 def verify_lemma38(truncation: int) -> VerificationReport:
     """The prefix-stacked family c_k = e1 e2^3 ... e_k^3 e_{k+1}^2: the
     first n of them plus e_{n+1} generate the whole rank n+1 group, while
     the witness e2^3 ... e_n^3 e_{n+1}^2 is non-primitive there."""
-    _check_truncation(truncation)
-    t0 = time.perf_counter()
+    return _CLAIMS["lemma38"].run(truncation=truncation)
+
+
+def _lemma38(truncation: int):
     counterexamples = []
     checks = 0
     for n in range(1, truncation + 1):
@@ -449,13 +398,7 @@ def verify_lemma38(truncation: int) -> VerificationReport:
         checks += 1
         if is_primitive(witness, n + 1):
             counterexamples.append(format_word(witness))
-    return make_report(
-        "lemma38",
-        {"truncation": truncation},
-        counterexamples,
-        {"words_checked": checks},
-        time.perf_counter() - t0,
-    )
+    return counterexamples, {"words_checked": checks}
 
 
 def verify_section3(truncation: int) -> VerificationReport:
@@ -505,47 +448,108 @@ def primitive_density(rank: int, max_len: int):
     ]
 
 
-# --- the standard grid ---
-
-_GRID = (
-    ("fact1", {"rank": 4}),
-    ("prop24", {"rank": 2, "max_len": 8}),
-    ("prop24", {"rank": 3, "max_len": 6}),
-    ("npbig", {"rank": 2, "max_len": 5}),
-    ("npbig", {"rank": 3, "max_len": 3}),
-    ("fincov", {"rank": 2, "max_len": 5}),
-    ("fincov", {"rank": 3, "max_len": 3}),
-    ("nielsen-xcheck", {"max_len": 6}),
-    ("claimI", {"truncation": 10}),
-    ("claimII", {"truncation": 10}),
-    ("lemma38", {"truncation": 10}),
-)
+# --- the claim table ---
 
 
-def _max_len_cap(claim_id: str, rank: int | None) -> int:
-    if claim_id == "prop24" and rank == 2:
-        return 8
-    return 6
+class _Claim(NamedTuple):
+    """One claim: its sweep, its standard grid and the caps on its
+    parameters.
+
+    sweep takes the parameters by name and returns (counterexamples,
+    stats).  A cap is a tuple of allowed values, a range, or a function of
+    the rank giving either.  length_param names the parameter that a
+    max_len override sets.
+    """
+
+    claim_id: str
+    sweep: Callable[..., tuple[list, dict]]
+    grid: tuple[dict, ...]
+    caps: dict
+    length_param: str = "max_len"
+
+    def allowed(self, name: str, params: dict):
+        cap = self.caps[name]
+        return cap(params["rank"]) if callable(cap) else cap
+
+    def run(self, **params) -> VerificationReport:
+        for name in self.caps:
+            allowed = self.allowed(name, params)
+            if params[name] not in allowed:
+                if isinstance(allowed, range):
+                    span = f"in {allowed.start}..{allowed[-1]}"
+                else:
+                    span = " or ".join(map(str, allowed))
+                raise ValueError(f"{name} must be {span}, got {params[name]}")
+        t0 = time.perf_counter()
+        counterexamples, stats = self.sweep(**params)
+        return make_report(
+            self.claim_id, params, counterexamples, stats, time.perf_counter() - t0
+        )
+
+    def with_overrides(self, params: dict, max_len, truncation) -> dict:
+        """params with the given overrides clamped into this claim's caps."""
+        params = dict(params)
+        for name, value in ((self.length_param, max_len), ("truncation", truncation)):
+            if value is not None and name in params:
+                allowed = self.allowed(name, params)
+                params[name] = max(allowed.start, min(value, allowed[-1]))
+        return params
 
 
-def _dispatch(claim_id: str, params: dict) -> VerificationReport:
-    if claim_id == "fact1":
-        return verify_fact1(rank=params["rank"])
-    if claim_id == "prop24":
-        return verify_prop24(params["rank"], params["max_len"])
-    if claim_id == "npbig":
-        return verify_npbig(params["rank"], params["max_len"])
-    if claim_id == "fincov":
-        return verify_fincov(params["rank"], params["max_len"])
-    if claim_id == "nielsen-xcheck":
-        return verify_nielsen_xcheck(params["max_len"])
-    if claim_id == "claimI":
-        return verify_claim_one(params["truncation"])
-    if claim_id == "claimII":
-        return verify_claim_two(params["truncation"])
-    if claim_id == "lemma38":
-        return verify_lemma38(params["truncation"])
-    raise ValueError(f"unknown claim id {claim_id!r}")
+_TRANSLATE_RANKS = (2, 3)
+_MAX_LEN = range(0, 7)
+# the three stacked-family claims, which verify_section3 runs together
+_STACKED_GRID = ({"truncation": 10},)
+_STACKED_CAPS = {"truncation": range(2, 11)}
+
+_CLAIMS = {
+    c.claim_id: c
+    for c in (
+        _Claim(
+            "fact1",
+            _fact1,
+            grid=({"rank": 4, "max_m": 4, "max_k": 3},),
+            caps={
+                "rank": range(1, 5),
+                "max_m": lambda rank: range(1, rank + 1),
+                "max_k": (2, 3),
+            },
+        ),
+        _Claim(
+            "prop24",
+            _prop24,
+            grid=({"rank": 2, "max_len": 8}, {"rank": 3, "max_len": 6}),
+            caps={
+                "rank": _TRANSLATE_RANKS,
+                "max_len": lambda rank: range(0, 9) if rank == 2 else _MAX_LEN,
+            },
+        ),
+        _Claim(
+            "npbig",
+            _npbig,
+            grid=({"rank": 2, "max_len": 5}, {"rank": 3, "max_len": 3}),
+            caps={"rank": _TRANSLATE_RANKS, "max_len": _MAX_LEN},
+        ),
+        _Claim(
+            "fincov",
+            _fincov,
+            grid=({"rank": 2, "max_len": 5}, {"rank": 3, "max_len": 3}),
+            caps={"rank": _TRANSLATE_RANKS, "max_len": _MAX_LEN},
+        ),
+        _Claim(
+            "nielsen-xcheck",
+            _nielsen_xcheck,
+            grid=({"max_pair_len": 6},),
+            caps={"max_pair_len": _MAX_LEN},
+            length_param="max_pair_len",
+        ),
+        _Claim("claimI", _claim_one, grid=_STACKED_GRID, caps=_STACKED_CAPS),
+        _Claim("claimII", _claim_two, grid=_STACKED_GRID, caps=_STACKED_CAPS),
+        _Claim("lemma38", _lemma38, grid=_STACKED_GRID, caps=_STACKED_CAPS),
+    )
+}
+
+CLAIM_IDS = tuple(_CLAIMS)
 
 
 def run_claims(
@@ -560,25 +564,20 @@ def run_claims(
     claim_id None (or "all") runs everything; "section3" runs the composite
     stacked-family report instead of its three parts.
     """
+    if claim_id == "section3":
+        # the composite of the stacked-family claims, which share grid and caps
+        claim = _CLAIMS["claimI"]
+        return [verify_section3(**claim.with_overrides(claim.grid[0], None, truncation))]
     if claim_id in (None, "all"):
-        claim_id = None
-    elif claim_id == "section3":
-        n = 10 if truncation is None else max(2, min(truncation, 10))
-        return [verify_section3(n)]
-    elif claim_id not in CLAIM_IDS:
+        claims = list(_CLAIMS.values())
+    elif claim_id in _CLAIMS:
+        claims = [_CLAIMS[claim_id]]
+    else:
         raise ValueError(f"unknown claim id {claim_id!r}")
     reports = []
-    for cid, defaults in _GRID:
-        if claim_id is not None and cid != claim_id:
-            continue
-        params = dict(defaults)
-        if rank is not None and "rank" in params and params["rank"] != rank:
-            continue
-        if max_len is not None and "max_len" in params:
-            params["max_len"] = max(
-                0, min(max_len, _max_len_cap(cid, params.get("rank")))
-            )
-        if truncation is not None and "truncation" in params:
-            params["truncation"] = max(2, min(truncation, 10))
-        reports.append(_dispatch(cid, params))
+    for claim in claims:
+        for params in claim.grid:
+            if rank is not None and params.get("rank", rank) != rank:
+                continue
+            reports.append(claim.run(**claim.with_overrides(params, max_len, truncation)))
     return reports

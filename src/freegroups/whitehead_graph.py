@@ -10,7 +10,8 @@ parallel edges are both kept.
 The point of the construction: a cyclically reduced word that is primitive
 always has a separable graph, meaning disconnected or with a cut vertex.
 That is a necessary condition only, and it is checked exhaustively by the
-verification harness.  Cut vertices are found with the usual low-link DFS;
+verification harness.  Cut vertices are found with the usual low-link DFS,
+run with an explicit stack so that no rank reaches the recursion limit;
 loops are ignored for that purpose (they never affect separation) but stay
 in the edge multiset for counting and rendering.
 """
@@ -77,57 +78,55 @@ class WhiteheadGraph:
                 adj[y].add(x)
         return {v: sorted(nbrs, key=letter_key) for v, nbrs in adj.items()}
 
-    def is_connected(self) -> bool:
-        verts = self.vertices
-        adj = self._simple_adjacency()
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(verts)
-
-    def articulation_points(self) -> list[int]:
-        """Cut vertices, least first in letter order.  Low-link DFS, run per
-        component; loops are excluded by the simple adjacency."""
+    def _separation(self) -> tuple[bool, list[int]]:
+        """(connected, cut vertices least first in letter order) from one
+        low-link DFS per component over the simple adjacency."""
         adj = self._simple_adjacency()
         disc: dict[int, int] = {}
         low: dict[int, int] = {}
         cuts: set[int] = set()
-        timer = [0]
-
-        def dfs(v: int, parent: int | None):
-            # the simple graph has a single copy of the tree edge, so the
-            # plain parent skip is exact even though the source is a multigraph
-            disc[v] = low[v] = timer[0]
-            timer[0] += 1
-            children = 0
-            for u in adj[v]:
-                if u == parent:
-                    continue
-                if u in disc:
-                    low[v] = min(low[v], disc[u])
-                else:
-                    children += 1
-                    dfs(u, v)
-                    low[v] = min(low[v], low[u])
-                    if parent is not None and low[u] >= disc[v]:
-                        cuts.add(v)
-            return children
-
+        components = 0
         for root in self.vertices:
-            if root not in disc:
-                root_children = dfs(root, None)
-                if root_children >= 2:
-                    cuts.add(root)
-        return sorted(cuts, key=letter_key)
+            if root in disc:
+                continue
+            components += 1
+            disc[root] = low[root] = len(disc)
+            root_children = 0
+            stack = [(root, None, iter(adj[root]))]
+            while stack:
+                v, parent, nbrs = stack[-1]
+                for u in nbrs:
+                    # the simple graph has a single copy of the tree edge, so
+                    # the plain parent skip is exact for the source multigraph
+                    if u == parent:
+                        continue
+                    if u in disc:
+                        low[v] = min(low[v], disc[u])
+                    else:
+                        disc[u] = low[u] = len(disc)
+                        stack.append((u, v, iter(adj[u])))
+                        break
+                else:
+                    stack.pop()
+                    if parent == root:
+                        root_children += 1
+                    elif parent is not None:
+                        low[parent] = min(low[parent], low[v])
+                        if low[v] >= disc[parent]:
+                            cuts.add(parent)
+            if root_children >= 2:
+                cuts.add(root)
+        return components == 1, sorted(cuts, key=letter_key)
+
+    def is_connected(self) -> bool:
+        return self._separation()[0]
+
+    def articulation_points(self) -> list[int]:
+        """Cut vertices, least first in letter order; loops never count."""
+        return self._separation()[1]
 
     def find_cut_vertex(self) -> CutVertexVerdict:
-        connected = self.is_connected()
-        cuts = self.articulation_points()
+        connected, cuts = self._separation()
         cut = cuts[0] if cuts else None
         return CutVertexVerdict(
             connected=connected,
@@ -150,10 +149,11 @@ class WhiteheadGraph:
 
 
 def whitehead_edges(letters: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Edge list for a letter sequence read cyclically: {ui, -u_{i+1}} for
-    each position, the last letter pairing with the first."""
+    """Edge list for a letter sequence read cyclically: (ui, -u_{i+1}) for
+    each position, the last letter pairing with the first.  The pairs are
+    unordered; WhiteheadGraph puts each in letter order."""
     k = len(letters)
-    return [_pair(letters[i], -letters[(i + 1) % k]) for i in range(k)]
+    return [(letters[i], -letters[(i + 1) % k]) for i in range(k)]
 
 
 def build_whitehead_graph(a: Word, rank: int) -> WhiteheadGraph:

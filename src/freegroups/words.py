@@ -214,13 +214,7 @@ class CyclicWord:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CyclicWord):
             return NotImplemented
-        a, b = self.word.letters, other.word.letters
-        if len(a) != len(b):
-            return False
-        if not a:
-            return True
-        double = a + a
-        return any(double[i : i + len(b)] == b for i in range(len(a)))
+        return _is_rotation(self.word.letters, other.word.letters)
 
     def __hash__(self) -> int:
         return hash(("cyclic", self.canonical().letters))
@@ -242,23 +236,14 @@ def canonical_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def free_reduce(raw: Iterable[int]) -> Word:
-    """Reduce a raw letter sequence to a Word.
-
-    >>> free_reduce([1, 2, -2, 3]).letters
-    (1, 3)
-    """
-    return Word(raw)
-
-
-def multiply(u: Word, v: Word) -> Word:
-    """Reduced product u v."""
-    return u * v
-
-
-def invert(u: Word) -> Word:
-    """Reduced inverse of u (reverse the sequence and negate each letter)."""
-    return u.inverse()
+def _is_rotation(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    # b is a rotation of a exactly when it occurs in the doubled a
+    if len(a) != len(b):
+        return False
+    if not a:
+        return True
+    double = a + a
+    return any(double[i : i + len(b)] == b for i in range(len(a)))
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -283,19 +268,8 @@ def cyclically_reduce(u: Word) -> tuple[CyclicWord, Word]:
 
 
 def are_conjugate(u: Word, v: Word) -> bool:
-    """Whether u and v are conjugate: equal cyclic cores up to rotation.
-
-    The rotation test scans the doubled core, so no conjugator search is
-    needed.
-    """
-    a = _cyclic_strip(u.letters)[0]
-    b = _cyclic_strip(v.letters)[0]
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    double = a + a
-    return any(double[i : i + len(b)] == b for i in range(len(a)))
+    """Whether u and v are conjugate: equal cyclic cores up to rotation."""
+    return _is_rotation(_cyclic_strip(u.letters)[0], _cyclic_strip(v.letters)[0])
 
 
 def parse_word(text: str, rank: int | None = None) -> Word:

@@ -5,6 +5,7 @@ length 6) feed three criteria, so they are computed once at module scope
 and shared.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -185,28 +186,31 @@ def test_criterion_8_structural_invariants():
     )
 
 
+# sha256 of the JSON files, frozen so that refactors of the claim grid are
+# checked to change no byte of the reports
+ALL_JSON_SHA256 = "b639d638ea16a0d53b06fbd38f4d7d89969b0c0e281b25e8507056a90743166e"
+SECTION3_JSON_SHA256 = "66f175bc11346065b4f344420e311a3979fff52ac42e4f5e79b6f0f713e04da5"
+
+
+def _verify_json(target, *claim_args):
+    proc = subprocess.run(
+        [sys.executable, "-m", "freegroups", "verify", *claim_args, "--json", str(target)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return target.read_bytes()
+
+
 def test_criterion_9_determinism(tmp_path):
-    args = [
-        sys.executable,
-        "-m",
-        "freegroups",
-        "verify",
-        "all",
-        "--max-len",
-        "2",
-        "--truncation",
-        "3",
-        "--json",
+    args = ("all", "--max-len", "2", "--truncation", "3")
+    outputs = [
+        _verify_json(tmp_path / name, *args) for name in ("first.json", "second.json")
     ]
-    outputs = []
-    for name in ("first.json", "second.json"):
-        target = tmp_path / name
-        proc = subprocess.run(
-            args + [str(target)], capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(target.read_bytes())
     assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[0]).hexdigest() == ALL_JSON_SHA256
+    section3 = _verify_json(tmp_path / "section3.json", "section3", "--truncation", "3")
+    assert hashlib.sha256(section3).hexdigest() == SECTION3_JSON_SHA256
     reports = json.loads(outputs[0])
     assert len(reports) == 11
     assert all(r["status"] == "pass" for r in reports)

@@ -70,6 +70,13 @@ def test_cutvertex_verdicts(capsys):
     assert (code, out) == (0, "disconnected\n")
 
 
+def test_cutvertex_deeper_than_recursion_limit(capsys):
+    # e1 e2^2 ... e800^2 has a path of 1600 letters as its Whitehead graph
+    word = " ".join(["1"] + [f"{i} {i}" for i in range(2, 801)])
+    code, out, err = run(capsys, "cutvertex", word, "--rank", "800")
+    assert (code, out, err) == (0, "cut vertex: e2\n", "")
+
+
 # --- primitivity commands ---
 
 

@@ -140,10 +140,11 @@ def test_predicted_length_matches_actual():
         core = _cyclic_strip(w.letters)[0]
         if not core:
             continue
-        from freegroups.primitivity import _cyclic_pairs, _degrees, _gain
+        from freegroups.primitivity import _degrees, _gain
         from freegroups.automorphisms import _apply_k2_letters
+        from freegroups.whitehead_graph import whitehead_edges
 
-        pairs = _cyclic_pairs(core)
+        pairs = whitehead_edges(core)
         deg = _degrees(pairs)
         for aut in enumerate_kind2(3):
             predicted = len(core) + _gain(pairs, deg, aut)

@@ -1,13 +1,18 @@
 """Tests for the verification harness: the covering word family, each
 claim checker at small parameters, report serialization, and the grid."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
+
+import freegroups
 
 from freegroups.verify import (
     CLAIM_IDS,
     VerificationReport,
+    WijFamily,
     build_w,
     primitive_density,
     reports_to_json,
@@ -49,6 +54,20 @@ def test_wij_family_shape():
     fam3 = wij_family(3)
     assert len(fam3.table) == 9
     assert all(len(w) == 12 for w in fam3.table.values())
+    with pytest.raises(ValueError):
+        WijFamily(rank=3, w=Word([1]), table={})
+
+
+def test_package_has_no_assert_statements():
+    # invariants must hold under python -O, which strips assert statements
+    package = Path(freegroups.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_select_wij_frozen():

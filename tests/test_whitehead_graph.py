@@ -176,6 +176,22 @@ def test_articulation_matches_brute_force_rank3_longer_sample():
         assert g.articulation_points() == brute_articulation(g)
 
 
+def test_separation_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(24)
+    for _ in range(500):
+        rank = rng.randint(1, 6)
+        g = build_whitehead_graph(random_reduced(rng, rank, rng.randint(0, 30)), rank)
+        simple = nx.Graph()
+        simple.add_nodes_from(g.vertices)
+        simple.add_edges_from((x, y) for x, y in g.edges if x != y)
+        verdict = g.find_cut_vertex()
+        assert verdict.connected == g.is_connected() == nx.is_connected(simple)
+        expected = sorted(nx.articulation_points(simple), key=letter_key)
+        assert g.articulation_points() == expected
+        assert verdict.cut_vertex == (expected[0] if expected else None)
+
+
 def test_connected_matches_component_count():
     rng = random.Random(23)
     for _ in range(500):

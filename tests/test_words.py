@@ -19,10 +19,7 @@ from freegroups.words import (
     count_reduced_words,
     cyclically_reduce,
     format_word,
-    free_reduce,
-    invert,
     iter_reduced_words,
-    multiply,
     parse_word,
     word_sort_key,
 )
@@ -77,21 +74,21 @@ def random_reduced(rng, rank, length):
 # ---------------------------------------------------------------- reduction
 
 def test_reduce_cancels_inner_pair():
-    assert free_reduce([1, 2, -2, 3]).letters == (1, 3)
+    assert Word([1, 2, -2, 3]).letters == (1, 3)
 
 
 def test_reduce_to_empty():
-    assert free_reduce([1, -1]).letters == ()
-    assert free_reduce([1, 2, -2, -1]).letters == ()
+    assert Word([1, -1]).letters == ()
+    assert Word([1, 2, -2, -1]).letters == ()
 
 
 def test_reduce_leaves_reduced_input_alone():
-    assert free_reduce([1, 2, 2, -1]).letters == (1, 2, 2, -1)
+    assert Word([1, 2, 2, -1]).letters == (1, 2, 2, -1)
 
 
 def test_reduce_cascades():
     # inner cancellation exposes an outer one
-    assert free_reduce([1, 2, 3, -3, -2, 1]).letters == (1, 1)
+    assert Word([1, 2, 3, -3, -2, 1]).letters == (1, 1)
 
 
 def test_reduce_matches_naive_oracle():
@@ -99,15 +96,15 @@ def test_reduce_matches_naive_oracle():
     for _ in range(10000):
         rank = rng.randint(1, 5)
         raw = random_raw(rng, rank, 50)
-        assert free_reduce(raw).letters == naive_reduce(raw)
+        assert Word(raw).letters == naive_reduce(raw)
 
 
 def test_reduce_idempotent_and_parity():
     rng = random.Random(7)
     for _ in range(500):
         raw = random_raw(rng, 4, 40)
-        w = free_reduce(raw)
-        assert free_reduce(w.letters) == w
+        w = Word(raw)
+        assert Word(w.letters) == w
         assert (len(raw) - len(w)) % 2 == 0
 
 
@@ -133,33 +130,33 @@ def test_rank_hint_validation():
 def test_multiply_concatenates():
     u = parse_word("abb")
     v = parse_word("bcc")
-    assert multiply(u, v) == parse_word("ab^3c^2")
+    assert u * v == parse_word("ab^3c^2")
 
 
 def test_multiply_cancels_across_junction():
     u = Word([1, 2])
-    assert multiply(u, invert(u)).letters == ()
-    assert multiply(Word([1, 2]), Word([-2, 3])).letters == (1, 3)
+    assert (u * u.inverse()).letters == ()
+    assert (Word([1, 2]) * Word([-2, 3])).letters == (1, 3)
 
 
 def test_multiply_associative_random():
     rng = random.Random(11)
     for _ in range(300):
-        u, v, w = (free_reduce(random_raw(rng, 3, 12)) for _ in range(3))
+        u, v, w = (Word(random_raw(rng, 3, 12)) for _ in range(3))
         assert (u * v) * w == u * (v * w)
 
 
 def test_invert_reverses_and_negates():
-    assert invert(parse_word("abb")).letters == (-2, -2, -1)
-    assert invert(Word()).letters == ()
+    assert parse_word("abb").inverse().letters == (-2, -2, -1)
+    assert Word().inverse().letters == ()
 
 
 def test_invert_involution_random():
     rng = random.Random(12)
     for _ in range(300):
-        w = free_reduce(random_raw(rng, 4, 20))
-        assert invert(invert(w)) == w
-        assert (w * invert(w)).letters == ()
+        w = Word(random_raw(rng, 4, 20))
+        assert w.inverse().inverse() == w
+        assert (w * w.inverse()).letters == ()
 
 
 def test_pow():
@@ -192,10 +189,10 @@ def test_cyclic_reduce_empty():
 def test_cyclic_reduce_reconstructs():
     rng = random.Random(13)
     for _ in range(500):
-        w = free_reduce(random_raw(rng, 4, 30))
+        w = Word(random_raw(rng, 4, 30))
         core, c = cyclically_reduce(w)
         assert core.word.is_cyclically_reduced
-        assert c * core.word * invert(c) == w
+        assert c * core.word * c.inverse() == w
         assert core.word.letters == naive_strip(w.letters)
 
 
@@ -233,7 +230,7 @@ def test_conjugate_empty():
 
 def test_conjugate_matches_rotation_oracle():
     rng = random.Random(14)
-    words = [free_reduce(random_raw(rng, 2, 6)) for _ in range(60)]
+    words = [Word(random_raw(rng, 2, 6)) for _ in range(60)]
     for u in words:
         for v in words:
             assert are_conjugate(u, v) == naive_conjugate_test(u, v)
@@ -242,8 +239,8 @@ def test_conjugate_matches_rotation_oracle():
 def test_conjugation_by_random_element():
     rng = random.Random(15)
     for _ in range(500):
-        w = free_reduce(random_raw(rng, 3, 15))
-        g = free_reduce(random_raw(rng, 3, 10))
+        w = Word(random_raw(rng, 3, 15))
+        g = Word(random_raw(rng, 3, 10))
         assert are_conjugate(w, w.conjugate_by(g))
 
 
@@ -261,14 +258,14 @@ def test_commutator_expanded_by_hand():
 def test_commutator_self_trivial():
     rng = random.Random(16)
     for _ in range(100):
-        w = free_reduce(random_raw(rng, 3, 10))
+        w = Word(random_raw(rng, 3, 10))
         assert commutator(w, w).letters == ()
-        assert commutator(w, invert(w)).letters == ()
+        assert commutator(w, w.inverse()).letters == ()
 
 
 def test_commutator_inverse_swaps_arguments():
     u, v = parse_word("ab"), parse_word("bA")
-    assert invert(commutator(u, v)) == commutator(v, u)
+    assert commutator(u, v).inverse() == commutator(v, u)
 
 
 # ---------------------------------------------------------- parse / format
@@ -339,10 +336,10 @@ def test_format_form_b_above_alphabet():
 def test_format_parse_round_trip():
     rng = random.Random(17)
     for _ in range(400):
-        w = free_reduce(random_raw(rng, 5, 25))
+        w = Word(random_raw(rng, 5, 25))
         assert parse_word(format_word(w)) == w
     for _ in range(100):
-        w = free_reduce(random_raw(rng, 30, 15))
+        w = Word(random_raw(rng, 30, 15))
         assert parse_word(format_word(w)) == w
 
 
@@ -353,7 +350,7 @@ def test_ball_counts_match_formula():
         words = list(iter_reduced_words(rank, max_len))
         assert len(words) == count_reduced_words(rank, max_len)
         assert len(set(words)) == len(words)
-        assert all(free_reduce(w.letters) == w for w in words)
+        assert all(Word(w.letters) == w for w in words)
 
 
 def test_ball_rank2_len8_size():
