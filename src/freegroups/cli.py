@@ -2,15 +2,17 @@
 
 Verdict subcommands (conjugate, cutvertex, primitive, nielsen, member,
 verify) exit 0 when the answer is yes / everything passed and 1 otherwise;
-malformed words, bad ranks, and bad flags exit 2.  Word arguments take
-either letter form ("abA", "a^3B") or whitespace separated indices
-("1 2 -1").
+malformed words, bad ranks, and bad flags exit 2.  Any other exception is
+a fault in the program, not a verdict: it prints its traceback and an
+"internal error:" line and exits 3.  Word arguments take either letter
+form ("abA", "a^3B") or whitespace separated indices ("1 2 -1").
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from .primitivity import is_basis_pair_f2, is_primitive, whitehead_minimize
@@ -226,6 +228,10 @@ def main(argv=None) -> int:
     except ValueError as exc:  # covers WordParseError and rank/cap errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 means "no", so a fault must not reach it
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,15 +9,26 @@ exactly when the loop bottoms out at cyclic length 1.  Kind 1 moves never
 change length and play no part in the descent.
 
 The length change of a kind 2 move (A, a) on a cyclically reduced word is
-read off the cyclic Whitehead graph: edges crossing the cut between A and
-its complement, minus the degree of a.  Two interchangeable engines find
-improving moves with that formula:
+read off the cyclic Whitehead graph: the number of edges crossing between
+A and its complement, cross(A), minus the degree of a.  Each descent step
+builds that graph once, as the edge-count matrix of edge_matrix, and both
+ways of picking a move read only the matrix.  Its vertices are all 2n
+letters when the move is picked in enumeration order, and otherwise only
+the letters of the generators that occur in the word, so the cost of a
+step does not grow with the rank.
 
-  * rank <= RANK_ENUM_LIMIT: scan the full kind 2 enumeration in order and
-    take the first improvement, which makes traces reproducible run to run;
-  * larger ranks: the best cut for each multiplier a is a minimum cut
-    separating a from a^-1, so one max-flow per multiplier replaces the
-    4^(n-1) member set scan and finds an improving move whenever one exists.
+Every member set A for a contains a and avoids a^-1, so cross(A) is at
+least the minimum cut between a and a^-1, and the minimum over all the
+member sets is exactly that cut (Roig, Ventura and Weil, "On the
+complexity of the Whitehead minimization problem", IJAC 17, 2007).  One
+max-flow per multiplier, stopped once it reaches deg(a), therefore tells
+whether any set for a improves.  The two ways of picking the set are:
+
+  * rank <= RANK_ENUM_LIMIT: the first improving set in kind 2
+    enumeration order, with cross values updated one added letter at a
+    time, which keeps the traces of the full scan;
+  * larger ranks: the source side of the minimum cut nearest a, read off
+    the same max-flow, which is the same set for every maximum flow.
 
 Every applied step is re-measured on the actual word and checked against
 the predicted length.
@@ -37,7 +48,7 @@ from .automorphisms import (
     enumerate_kind2,
     letter_order,
 )
-from .whitehead_graph import whitehead_edges
+from .whitehead_graph import edge_matrix, vertex_letters
 from .words import (
     CyclicWord,
     Word,
@@ -47,7 +58,6 @@ from .words import (
     commutator,
     format_word,
     iter_reduced_words,
-    letter_key,
     letter_name,
 )
 
@@ -81,83 +91,113 @@ class MinimizationTrace:
         }
 
 
-def _degrees(pairs) -> dict[int, int]:
-    deg: dict[int, int] = {}
-    for x, y in pairs:
-        deg[x] = deg.get(x, 0) + 1
-        deg[y] = deg.get(y, 0) + 1
-    return deg
+def _max_flow(cap: list[dict[int, int]], s: int, t: int, bound: float):
+    """Maximum s-t flow in the multigraph of the sparse edge-count matrix
+    cap, one unit of capacity per edge, by shortest augmenting paths.
+    Stops once the flow reaches bound, which may be math.inf.
 
-
-def _gain(pairs, deg, aut: MultiplierAut) -> int:
-    members = aut.members
-    cross = sum(1 for x, y in pairs if (x in members) != (y in members))
-    return cross - deg.get(aut.multiplier, 0)
-
-
-def _find_move_enum(pairs, deg, rank: int):
-    for aut in _kind2_cached(rank):
-        if deg.get(aut.multiplier, 0) == 0:
-            continue  # cut size is nonnegative, no improvement possible
-        g = _gain(pairs, deg, aut)
-        if g < 0:
-            return aut, g
-    return None
-
-
-def _min_cut(pairs, s: int, t: int):
-    """Minimum s-t cut in the multigraph given by pairs (unit capacity per
-    edge instance).  Returns (cut value, source side vertex set)."""
-    cap: dict[tuple[int, int], int] = {}
-    nbrs: dict[int, set[int]] = {}
-    for x, y in pairs:
-        cap[x, y] = cap.get((x, y), 0) + 1
-        cap[y, x] = cap.get((y, x), 0) + 1
-        nbrs.setdefault(x, set()).add(y)
-        nbrs.setdefault(y, set()).add(x)
-    adj = {v: sorted(ns, key=letter_key) for v, ns in nbrs.items()}
+    Returns (flow, side).  Below the bound, flow is the minimum s-t cut and
+    side is the set of vertices reachable from s in the residual graph: the
+    source side of the minimum cut nearest s, the same for every maximum
+    flow.  At the bound, flow equals bound and side is None.
+    """
+    res = [dict(row) for row in cap]
     flow = 0
-    while True:
-        parent: dict[int, int | None] = {s: None}
-        queue = deque([s])
-        while queue and t not in parent:
-            u = queue.popleft()
-            for v in adj.get(u, ()):
-                if v not in parent and cap.get((u, v), 0) > 0:
+    while flow < bound:
+        parent = {s: s}
+        queue = [s]
+        for u in queue:
+            for v, c in res[u].items():
+                if c and v not in parent:
                     parent[v] = u
+                    if v == t:
+                        break
                     queue.append(v)
-        if t not in parent:
+            else:
+                continue
             break
-        path = []
+        else:
+            return flow, set(queue)
+        push = bound - flow
         v = t
-        while parent[v] is not None:
+        while v != s:
             u = parent[v]
-            path.append((u, v))
+            push = min(push, res[u][v])
             v = u
-        bottleneck = min(cap[u, v] for u, v in path)
-        for u, v in path:
-            cap[u, v] -= bottleneck
-            cap[v, u] = cap.get((v, u), 0) + bottleneck
-        flow += bottleneck
-    reachable = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for v in adj.get(u, ()):
-            if v not in reachable and cap.get((u, v), 0) > 0:
-                reachable.add(v)
-                queue.append(v)
-    return flow, reachable
+        v = t
+        while v != s:
+            u = parent[v]
+            res[u][v] -= push
+            res[v][u] += push
+            v = u
+        flow += push
+    return flow, None
 
 
-def _find_move_cut(pairs, deg, rank: int):
-    for a in letter_order(rank):
-        d = deg.get(a, 0)
+def _member_crosses(cap: list[dict[int, int]], deg: list[int], a: int):
+    """cross(A) for every member set A of the multiplier at vertex a, in
+    enumerate_kind2 order when cap spans every generator.  deg holds the
+    row sums of cap.  Adding vertex x to A changes cross by
+    deg(x) - 2 * (edges from x into A) - cap[x][x]."""
+    size = len(cap)
+    dense = [[0] * size for _ in cap]
+    for x, row in enumerate(cap):
+        for y, count in row.items():
+            dense[x][y] = count
+    pairs = [(x, x ^ 1) for x in range(0, size, 2) if a not in (x, x ^ 1)]
+    members = [a]
+
+    def add(x: int, cross: int) -> int:
+        row = dense[x]
+        return cross + deg[x] - row[x] - 2 * sum(row[y] for y in members)
+
+    def walk(level: int, cross: int):
+        if level == len(pairs):
+            yield cross
+            return
+        x, x_inv = pairs[level]
+        with_x, with_inv = add(x, cross), add(x_inv, cross)
+        yield from walk(level + 1, cross)
+        members.append(x)
+        yield from walk(level + 1, with_x)
+        both = add(x_inv, with_x)
+        members[-1] = x_inv
+        yield from walk(level + 1, with_inv)
+        members.append(x)
+        yield from walk(level + 1, both)
+        del members[-2:]
+
+    return walk(0, deg[a] - dense[a][a])
+
+
+def _find_move(core: tuple[int, ...], rank: int, use_cut: bool):
+    """First improving kind 2 move on a cyclic core as (automorphism,
+    length change), or None when no move shortens it."""
+    # A generator missing from the core has degree 0 and never lies on the
+    # cut's source side, so the cut engine leaves it out of the matrix.
+    # The enum engine keeps every generator, because it walks the member
+    # sets of enumerate_kind2.
+    gens = sorted({abs(x) for x in core}) if use_cut else range(1, rank + 1)
+    names = vertex_letters(gens)
+    cap = edge_matrix(core, gens)
+    deg = [sum(row.values()) for row in cap]
+    # Vertices a and a^-1 have the same degree (every occurrence of a^{+-1}
+    # meets both once) and the cut between them is symmetric, so a^-1 has
+    # an improving set only when a, which comes first, already has one.
+    for a in range(0, len(cap), 2):
+        d = deg[a]
         if d == 0:
             continue
-        cut, side = _min_cut(pairs, a, -a)
-        if cut < d:
-            return MultiplierAut(a, frozenset(side)), cut - d
+        cut, side = _max_flow(cap, a, a ^ 1, d)
+        if cut == d:
+            continue
+        if use_cut:
+            return MultiplierAut(names[a], frozenset(names[v] for v in side)), cut - d
+        for k, cross in enumerate(_member_crosses(cap, deg, a)):
+            if cross < d:
+                first = letter_order(rank).index(names[a]) * 4 ** (rank - 1)
+                return _kind2_cached(rank)[first + k], cross - d
+        raise RuntimeError(f"min cut {cut} < {d} but no member set improves")
     return None
 
 
@@ -167,9 +207,7 @@ def _minimize_letters(letters: tuple[int, ...], rank: int, engine: str = "auto")
     steps: list[tuple[MultiplierAut, int]] = []
     use_cut = engine == "cut" or (engine == "auto" and rank > RANK_ENUM_LIMIT)
     while len(core) > 1:
-        pairs = whitehead_edges(core)
-        deg = _degrees(pairs)
-        found = _find_move_cut(pairs, deg, rank) if use_cut else _find_move_enum(pairs, deg, rank)
+        found = _find_move(core, rank, use_cut)
         if found is None:
             break
         aut, gain = found

@@ -156,6 +156,38 @@ def whitehead_edges(letters: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(letters[i], -letters[(i + 1) % k]) for i in range(k)]
 
 
+def vertex_letters(gens) -> list[int]:
+    """The letter at each vertex of edge_matrix(letters, gens): vertex 2j is
+    gens[j] and vertex 2j + 1 its inverse, so v ^ 1 is the inverse of v.
+    With gens 1..n this is letter order, the order of letter_key.
+
+    >>> vertex_letters([2, 5])
+    [2, -2, 5, -5]
+    """
+    return [x for g in gens for x in (g, -g)]
+
+
+def edge_matrix(letters: tuple[int, ...], gens) -> list[dict[int, int]]:
+    """The multigraph of whitehead_edges as a sparse symmetric matrix of
+    edge counts over the vertices of vertex_letters(gens), which must
+    include every generator in letters.  Row v maps each neighbour of
+    vertex v to the number of edges between them.  A loop adds 2 to its
+    diagonal entry, so every row sums to the degree of its vertex.
+
+    >>> edge_matrix((1, 2, 1, 2), [1, 2])
+    [{3: 2}, {2: 2}, {1: 2}, {0: 2}]
+    >>> edge_matrix((1, 3, 1, 3), [1, 3]) == edge_matrix((1, 2, 1, 2), [1, 2])
+    True
+    """
+    vertex = {x: v for v, x in enumerate(vertex_letters(gens))}
+    m: list[dict[int, int]] = [{} for _ in vertex]
+    for x, y in whitehead_edges(letters):
+        u, v = vertex[x], vertex[y]
+        m[u][v] = m[u].get(v, 0) + 1
+        m[v][u] = m[v].get(u, 0) + 1
+    return m
+
+
 def build_whitehead_graph(a: Word, rank: int) -> WhiteheadGraph:
     """Whitehead graph of a word.  Indices must fit under rank.
 

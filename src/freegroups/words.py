@@ -10,7 +10,8 @@ Two text forms are accepted wherever a word can be typed in:
 
     form A: letters a-z name generators 1 to 26 and A-Z their inverses,
             whitespace is ignored, and ^k repeats the preceding letter,
-            so "abbA", "ab^2A" and "a b^2 A" all mean e1 e2 e2 e1^-1
+            so "abbA", "ab^2A" and "a b^2 A" all mean e1 e2 e2 e1^-1;
+            text that expands past PARSE_LETTER_CAP letters is rejected
     form B: whitespace separated signed decimal indices, "1 2 2 -1",
             usable at any rank
 
@@ -23,6 +24,8 @@ from __future__ import annotations
 import re
 from itertools import groupby
 from typing import Iterable, Iterator
+
+PARSE_LETTER_CAP = 1_000_000  # letters one form A text may expand to, before reduction
 
 
 def letter_key(x: int) -> tuple[int, bool]:
@@ -313,6 +316,7 @@ def _parse_form_a(text: str, rank: int | None) -> list[int]:
             raise WordParseError(f"unexpected character {c!r}", i)
         if rank is not None and abs(x) > rank:
             raise WordParseError(f"letter {c!r} exceeds rank {rank}", i)
+        start = i
         i += 1
         exp = 1
         if i < n and text[i] == "^":
@@ -320,12 +324,18 @@ def _parse_form_a(text: str, rank: int | None) -> list[int]:
             if j < n and text[j] == "-":
                 j += 1
             start_digits = j
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j == start_digits:
                 raise WordParseError("caret must be followed by an integer", i)
-            exp = int(text[i + 1 : j])
+            digits = text[start_digits:j].lstrip("0") or "0"
+            # length first: int() refuses very long digit strings
+            if len(digits) > len(str(PARSE_LETTER_CAP)) or int(digits) > PARSE_LETTER_CAP:
+                raise WordParseError(f"exponent exceeds {PARSE_LETTER_CAP}", i)
+            exp = -int(digits) if text[i + 1] == "-" else int(digits)
             i = j
+        if len(out) + abs(exp) > PARSE_LETTER_CAP:
+            raise WordParseError(f"word expands past {PARSE_LETTER_CAP} letters", start)
         if exp >= 0:
             out.extend([x] * exp)
         else:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from freegroups import cli
 from freegroups.cli import main
 
 
@@ -85,6 +86,8 @@ def test_primitive_plain(capsys):
     assert (code, out) == (0, "primitive\n")
     code, out, _ = run(capsys, "primitive", "aabb", "--rank", "2")
     assert (code, out) == (1, "not primitive\n")
+    code, out, _ = run(capsys, "primitive", "1 200 1 200 1", "--rank", "100000")
+    assert (code, out) == (0, "primitive\n")
 
 
 def test_primitive_trace(capsys):
@@ -208,6 +211,31 @@ def test_parse_error_exits_2(capsys):
     code, _, err = run(capsys, "reduce", "ab!c")
     assert code == 2
     assert "position 2" in err
+
+
+def test_huge_exponent_exits_2(capsys):
+    code, out, err = run(capsys, "reduce", "a^99999999999999999999999")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: exponent exceeds")
+
+
+def test_oversized_word_exits_2(capsys):
+    code, out, err = run(capsys, "reduce", "a^3000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: exponent exceeds")
+    code, out, err = run(capsys, "reduce", "a^600000b^600000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: word expands past")
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setitem(cli._HANDLERS, "reduce", boom)
+    code, out, err = run(capsys, "reduce", "ab")
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1] == "internal error: RuntimeError: broken invariant"
 
 
 def test_rank_cap_error_exits_2(capsys):

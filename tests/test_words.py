@@ -10,6 +10,7 @@ import random
 import pytest
 
 from freegroups.words import (
+    PARSE_LETTER_CAP,
     CyclicWord,
     Word,
     WordParseError,
@@ -302,11 +303,26 @@ def test_parse_rejects_malformed_with_position():
         parse_word("^2")
     assert e.value.position == 0
     with pytest.raises(WordParseError) as e:
+        parse_word("a^\u00b2")  # a superscript two is not an ASCII digit
+    assert e.value.position == 1
+    with pytest.raises(WordParseError) as e:
         parse_word("1 2.5")
     assert e.value.position == 2
     with pytest.raises(WordParseError) as e:
         parse_word("1 0 2")
     assert e.value.position == 2
+
+
+def test_parse_caps_expansion():
+    assert len(parse_word(f"a^{PARSE_LETTER_CAP}")) == PARSE_LETTER_CAP
+    assert parse_word("a^" + "0" * 5000 + "2B").letters == (1, 1, -2)
+    for text in (f"ba^{PARSE_LETTER_CAP + 1}", "ba^-99999999999999999999999"):
+        with pytest.raises(WordParseError, match="exponent exceeds") as e:
+            parse_word(text)
+        assert e.value.position == 2
+    with pytest.raises(WordParseError, match="word expands past") as e:
+        parse_word(f"a^{PARSE_LETTER_CAP} b")
+    assert e.value.position == len(f"a^{PARSE_LETTER_CAP} ")  # the b
 
 
 def test_parse_rejects_index_above_rank():
