@@ -14,7 +14,6 @@ from .automorphisms import (
     enumerate_kind1,
     enumerate_kind2,
     kind2_count,
-    letter_order,
 )
 from .primitivity import (
     MinimizationTrace,
@@ -63,6 +62,7 @@ from .words import (
     iter_reduced_words,
     letter_key,
     letter_name,
+    letter_order,
     parse_word,
     word_sort_key,
 )

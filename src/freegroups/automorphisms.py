@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 
-from .words import Word, letter_key, letter_name
+from .words import Word, check_rank, letter_key, letter_name, letter_order
 
 RANK_CAP = 8  # enumerate_kind2 refuses anything bigger by default
 
@@ -136,23 +136,14 @@ def apply_aut(aut, w: Word) -> Word:
     if not aut.is_valid():
         raise ValueError(f"invalid automorphism descriptor: {aut!r}")
     if isinstance(aut, PermutationAut):
-        n = len(aut.images)
-        for x in w.letters:
-            if abs(x) > n:
-                raise ValueError(f"letter {letter_name(x)} exceeds rank {n}")
+        check_rank(w.letters, len(aut.images))
         return Word._wrap(_apply_k1_letters(aut.images, w.letters), w.rank_hint)
     return Word._wrap(_apply_k2_letters(aut.multiplier, aut.members, w.letters), w.rank_hint)
 
 
-def letter_order(rank: int) -> list[int]:
-    """The 2n letters in canonical order e1, e1^-1, e2, e2^-1, ..."""
-    return [s * i for i in range(1, rank + 1) for s in (1, -1)]
-
-
 def enumerate_kind1(rank: int) -> list[PermutationAut]:
     """All signed letter permutations, n! * 2^n of them, in a fixed order."""
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    check_rank((), rank)
     out = []
     for perm in permutations(range(1, rank + 1)):
         for signs in product((1, -1), repeat=rank):
@@ -168,8 +159,7 @@ def enumerate_kind2(rank: int, cap: int = RANK_CAP) -> list[MultiplierAut]:
     counted with the highest-index pair moving fastest.  The count grows as
     4^n, hence the rank cap.
     """
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    check_rank((), rank)
     if rank > cap:
         raise ValueError(f"rank {rank} exceeds the enumeration cap {cap}")
     out = []

@@ -46,19 +46,18 @@ from .automorphisms import (
     _kind2_cached,
     enumerate_kind1,
     enumerate_kind2,
-    letter_order,
 )
-from .whitehead_graph import edge_matrix, vertex_letters
+from .whitehead_graph import edge_matrix, vertex_letters, whitehead_edges
 from .words import (
     CyclicWord,
     Word,
     _cyclic_strip,
     are_conjugate,
     canonical_rotation,
+    check_rank,
     commutator,
     format_word,
     iter_reduced_words,
-    letter_name,
 )
 
 RANK_ENUM_LIMIT = 5
@@ -179,7 +178,7 @@ def _find_move(core: tuple[int, ...], rank: int, use_cut: bool):
     # sets of enumerate_kind2.
     gens = sorted({abs(x) for x in core}) if use_cut else range(1, rank + 1)
     names = vertex_letters(gens)
-    cap = edge_matrix(core, gens)
+    cap = edge_matrix(whitehead_edges(core), gens)
     deg = [sum(row.values()) for row in cap]
     # Vertices a and a^-1 have the same degree (every occurrence of a^{+-1}
     # meets both once) and the cut between them is symmetric, so a^-1 has
@@ -195,8 +194,8 @@ def _find_move(core: tuple[int, ...], rank: int, use_cut: bool):
             return MultiplierAut(names[a], frozenset(names[v] for v in side)), cut - d
         for k, cross in enumerate(_member_crosses(cap, deg, a)):
             if cross < d:
-                first = letter_order(rank).index(names[a]) * 4 ** (rank - 1)
-                return _kind2_cached(rank)[first + k], cross - d
+                # the matrix spans 1..n, so vertex a is letter a of letter_order
+                return _kind2_cached(rank)[a * 4 ** (rank - 1) + k], cross - d
         raise RuntimeError(f"min cut {cut} < {d} but no member set improves")
     return None
 
@@ -224,14 +223,6 @@ def _minimize_letters(letters: tuple[int, ...], rank: int, engine: str = "auto")
     return core, steps
 
 
-def _check_rank(letters, rank: int):
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    for x in letters:
-        if abs(x) > rank:
-            raise ValueError(f"letter {letter_name(x)} exceeds rank {rank}")
-
-
 def whitehead_minimize(w: Word, rank: int) -> MinimizationTrace:
     """Minimize the cyclic length of w by greedy kind 2 moves.
 
@@ -239,7 +230,7 @@ def whitehead_minimize(w: Word, rank: int) -> MinimizationTrace:
     >>> [length for _, length in tr.steps]
     [3, 2, 1]
     """
-    _check_rank(w.letters, rank)
+    check_rank(w.letters, rank)
     core, steps = _minimize_letters(w.letters, rank)
     return MinimizationTrace(
         start=w, steps=steps, final=CyclicWord(Word._wrap(core, rank))
@@ -252,7 +243,7 @@ def is_primitive(w: Word, rank: int) -> bool:
     The empty word is not primitive.  Conjugation invariant, since the test
     works on the cyclic core.
     """
-    _check_rank(w.letters, rank)
+    check_rank(w.letters, rank)
     if not w.letters:
         return False
     core, _ = _minimize_letters(w.letters, rank)
@@ -268,9 +259,7 @@ def is_basis_pair_f2(a: Word, b: Word) -> bool:
     Nielsen's criterion: the pair is a basis exactly when the commutator
     [a, b] is conjugate to [e1, e2] or to its inverse [e2, e1].
     """
-    for x in a.letters + b.letters:
-        if abs(x) > 2:
-            raise ValueError(f"letter {letter_name(x)} exceeds rank 2")
+    check_rank(a.letters + b.letters, 2)
     c = commutator(a, b)
     return are_conjugate(c, _F2_COMMUTATOR) or are_conjugate(
         c, _F2_COMMUTATOR.inverse()

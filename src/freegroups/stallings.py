@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from random import Random
 
-from .words import Word, letter_name
+from .words import Word, check_rank, letter_name
 
 __all__ = ["SubgroupGraph", "build_subgroup_graph"]
 
@@ -37,8 +37,7 @@ class SubgroupGraph:
     __slots__ = ("rank", "num_vertices", "edges", "_trans")
 
     def __init__(self, rank: int, num_vertices: int, edges):
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
+        check_rank((), rank)
         if num_vertices < 1:
             raise ValueError("need at least the basepoint vertex")
         edges = tuple(sorted(edges))
@@ -60,7 +59,8 @@ class SubgroupGraph:
         return self.num_edges - self.num_vertices + 1
 
     def generates_whole_group(self) -> bool:
-        return self.num_vertices == 1 and sorted(
+        # the edge count first: the rank may be far larger than the graph
+        return self.num_vertices == 1 and self.num_edges == self.rank and sorted(
             label for _, label, _ in self.edges
         ) == list(range(1, self.rank + 1))
 
@@ -75,9 +75,7 @@ class SubgroupGraph:
 
     def contains(self, w: Word) -> bool:
         """Whether the reduced word w lies in the subgroup."""
-        for x in w.letters:
-            if abs(x) > self.rank:
-                raise ValueError(f"letter {letter_name(x)} exceeds rank {self.rank}")
+        check_rank(w.letters, self.rank)
         trans = self._transitions()
         cur = 0
         for x in w.letters:
@@ -201,8 +199,7 @@ def build_subgroup_graph(
     Empty generators are skipped; no generators at all gives the one vertex
     graph of the trivial subgroup.
     """
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    check_rank((), rank)
     edges: set = set()
     fresh = 1
     for gen in generators:
@@ -211,11 +208,7 @@ def build_subgroup_graph(
         letters = gen.letters
         if not letters:
             continue
-        for x in letters:
-            if abs(x) > rank:
-                raise ValueError(
-                    f"letter {letter_name(x)} exceeds rank {rank}"
-                )
+        check_rank(letters, rank)
         cur = 0
         for i, x in enumerate(letters):
             nxt = 0 if i == len(letters) - 1 else fresh

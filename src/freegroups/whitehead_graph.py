@@ -10,17 +10,22 @@ parallel edges are both kept.
 The point of the construction: a cyclically reduced word that is primitive
 always has a separable graph, meaning disconnected or with a cut vertex.
 That is a necessary condition only, and it is checked exhaustively by the
-verification harness.  Cut vertices are found with the usual low-link DFS,
-run with an explicit stack so that no rank reaches the recursion limit;
-loops are ignored for that purpose (they never affect separation) but stay
-in the edge multiset for counting and rendering.
+verification harness.
+
+The graph is stored once, as the edge-count matrix of edge_matrix over the
+generators that occur; the minimizer reads the same matrix.  The letters of
+a missing generator are isolated, so the graph is then disconnected.  Cut
+vertices come from the usual low-link DFS over the matrix rows, with an
+explicit stack so that no rank reaches the recursion limit; loops never
+affect separation and are skipped there.  Only vertices and to_dot cost
+more with the rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Word, letter_key, letter_name
+from .words import Word, check_rank, letter_name, letter_order
 
 
 @dataclass(frozen=True)
@@ -36,87 +41,91 @@ class CutVertexVerdict:
     separable: bool
 
 
-def _pair(x: int, y: int) -> tuple[int, int]:
-    return (x, y) if letter_key(x) <= letter_key(y) else (y, x)
-
-
 class WhiteheadGraph:
     """Undirected multigraph on the 2n letters of a rank n free group."""
 
     def __init__(self, rank: int, edges=()):
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
-        self.rank = rank
-        canon = []
+        check_rank((), rank)
+        edges = list(edges)
         for x, y in edges:
             for v in (x, y):
                 if v == 0 or abs(v) > rank:
                     raise ValueError(f"vertex {v} not a letter of rank {rank}")
-            canon.append(_pair(x, y))
-        canon.sort(key=lambda p: (letter_key(p[0]), letter_key(p[1])))
-        self.edges: tuple[tuple[int, int], ...] = tuple(canon)
+        self.rank = rank
+        gens = sorted({abs(v) for pair in edges for v in pair})
+        self._names = vertex_letters(gens)
+        self._matrix = edge_matrix(edges, gens)
 
     @property
     def vertices(self) -> list[int]:
-        return [s * i for i in range(1, self.rank + 1) for s in (1, -1)]
+        return letter_order(self.rank)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge once as a pair in letter order, sorted in letter order;
+        vertex order is letter order, so reading the rows in turn sorts."""
+        names = self._names
+        return tuple(
+            (names[u], names[v])
+            for u, row in enumerate(self._matrix)
+            for v in sorted(row)
+            if v >= u
+            for _ in range(row[v] // 2 if v == u else row[v])
+        )
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(sum(row.values()) for row in self._matrix) // 2
 
     def degree(self, v: int) -> int:
         # a loop contributes 2
-        return sum((x == v) + (y == v) for x, y in self.edges)
-
-    def _simple_adjacency(self) -> dict[int, list[int]]:
-        # loop-free simple graph; parallel edges collapse (they never change
-        # which vertices separate the graph)
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for x, y in self.edges:
-            if x != y:
-                adj[x].add(y)
-                adj[y].add(x)
-        return {v: sorted(nbrs, key=letter_key) for v, nbrs in adj.items()}
+        if v not in self._names:
+            return 0
+        return sum(self._matrix[self._names.index(v)].values())
 
     def _separation(self) -> tuple[bool, list[int]]:
         """(connected, cut vertices least first in letter order) from one
-        low-link DFS per component over the simple adjacency."""
-        adj = self._simple_adjacency()
-        disc: dict[int, int] = {}
-        low: dict[int, int] = {}
+        low-link DFS per component over the matrix rows."""
+        m = self._matrix
+        disc = [-1] * len(m)
+        low = [0] * len(m)
+        count = 0
         cuts: set[int] = set()
         components = 0
-        for root in self.vertices:
-            if root in disc:
+        for root in range(len(m)):
+            if disc[root] >= 0:
                 continue
             components += 1
-            disc[root] = low[root] = len(disc)
+            disc[root] = low[root] = count
+            count += 1
             root_children = 0
-            stack = [(root, None, iter(adj[root]))]
+            stack = [(root, -1, iter(m[root]))]
             while stack:
                 v, parent, nbrs = stack[-1]
                 for u in nbrs:
-                    # the simple graph has a single copy of the tree edge, so
-                    # the plain parent skip is exact for the source multigraph
-                    if u == parent:
+                    # a row holds each neighbour once, so skipping the parent
+                    # skips exactly the tree edge, whatever its multiplicity
+                    if u == v or u == parent:
                         continue
-                    if u in disc:
+                    if disc[u] >= 0:
                         low[v] = min(low[v], disc[u])
                     else:
-                        disc[u] = low[u] = len(disc)
-                        stack.append((u, v, iter(adj[u])))
+                        disc[u] = low[u] = count
+                        count += 1
+                        stack.append((u, v, iter(m[u])))
                         break
                 else:
                     stack.pop()
                     if parent == root:
                         root_children += 1
-                    elif parent is not None:
+                    elif parent >= 0:
                         low[parent] = min(low[parent], low[v])
                         if low[v] >= disc[parent]:
                             cuts.add(parent)
             if root_children >= 2:
                 cuts.add(root)
-        return components == 1, sorted(cuts, key=letter_key)
+        connected = len(m) == 2 * self.rank and components == 1
+        return connected, [self._names[v] for v in sorted(cuts)]
 
     def is_connected(self) -> bool:
         return self._separation()[0]
@@ -157,7 +166,7 @@ def whitehead_edges(letters: tuple[int, ...]) -> list[tuple[int, int]]:
 
 
 def vertex_letters(gens) -> list[int]:
-    """The letter at each vertex of edge_matrix(letters, gens): vertex 2j is
+    """The letter at each vertex of edge_matrix(edges, gens): vertex 2j is
     gens[j] and vertex 2j + 1 its inverse, so v ^ 1 is the inverse of v.
     With gens 1..n this is letter order, the order of letter_key.
 
@@ -167,21 +176,23 @@ def vertex_letters(gens) -> list[int]:
     return [x for g in gens for x in (g, -g)]
 
 
-def edge_matrix(letters: tuple[int, ...], gens) -> list[dict[int, int]]:
-    """The multigraph of whitehead_edges as a sparse symmetric matrix of
-    edge counts over the vertices of vertex_letters(gens), which must
-    include every generator in letters.  Row v maps each neighbour of
-    vertex v to the number of edges between them.  A loop adds 2 to its
-    diagonal entry, so every row sums to the degree of its vertex.
+def edge_matrix(edges, gens) -> list[dict[int, int]]:
+    """A multigraph given by its edge pairs, such as whitehead_edges(core),
+    as a sparse symmetric matrix of edge counts over the vertices of
+    vertex_letters(gens), which must include every letter in edges.  Row v
+    maps each neighbour of vertex v to the number of edges between them.  A
+    loop adds 2 to its diagonal entry, so every row sums to the degree of
+    its vertex.  This is the only builder of the cyclic Whitehead graph.
 
-    >>> edge_matrix((1, 2, 1, 2), [1, 2])
+    >>> edge_matrix(whitehead_edges((1, 2, 1, 2)), [1, 2])
     [{3: 2}, {2: 2}, {1: 2}, {0: 2}]
-    >>> edge_matrix((1, 3, 1, 3), [1, 3]) == edge_matrix((1, 2, 1, 2), [1, 2])
+    >>> edge_matrix(whitehead_edges((1, 3, 1, 3)), [1, 3]) == edge_matrix(
+    ...     whitehead_edges((1, 2, 1, 2)), [1, 2])
     True
     """
     vertex = {x: v for v, x in enumerate(vertex_letters(gens))}
     m: list[dict[int, int]] = [{} for _ in vertex]
-    for x, y in whitehead_edges(letters):
+    for x, y in edges:
         u, v = vertex[x], vertex[y]
         m[u][v] = m[u].get(v, 0) + 1
         m[v][u] = m[v].get(u, 0) + 1
@@ -195,9 +206,5 @@ def build_whitehead_graph(a: Word, rank: int) -> WhiteheadGraph:
     >>> g.edge_count
     4
     """
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    for x in a.letters:
-        if abs(x) > rank:
-            raise ValueError(f"letter {letter_name(x)} exceeds rank {rank}")
+    check_rank(a.letters, rank)
     return WhiteheadGraph(rank, whitehead_edges(a.letters))

@@ -33,9 +33,23 @@ def letter_key(x: int) -> tuple[int, bool]:
     return (abs(x), x < 0)
 
 
+def letter_order(rank: int) -> list[int]:
+    """The 2n letters in canonical order e1, e1^-1, e2, e2^-1, ..."""
+    return [s * i for i in range(1, rank + 1) for s in (1, -1)]
+
+
 def letter_name(x: int) -> str:
     """Display name of a letter, "e3" or "e3^-1"."""
     return f"e{x}" if x > 0 else f"e{-x}^-1"
+
+
+def check_rank(letters: Iterable[int], rank: int) -> None:
+    """Raise ValueError unless rank >= 1 and every letter fits under it."""
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
+    for x in letters:
+        if abs(x) > rank:
+            raise ValueError(f"letter {letter_name(x)} exceeds rank {rank}")
 
 
 def _reduce_tuple(seq: Iterable[int]) -> tuple[int, ...]:
@@ -383,11 +397,10 @@ def iter_reduced_words(
 ) -> Iterator[Word]:
     """All reduced words of length <= max_len, by length then lexicographic
     in the standard letter order.  Deterministic."""
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    check_rank((), rank)
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    alphabet = [s * i for i in range(1, rank + 1) for s in (1, -1)]
+    alphabet = letter_order(rank)
     if include_empty:
         yield Word._wrap((), rank)
     frontier: list[tuple[int, ...]] = [()]

@@ -71,6 +71,26 @@ def test_cutvertex_verdicts(capsys):
     assert (code, out) == (0, "disconnected\n")
 
 
+def test_cutvertex_at_huge_rank_stays_small():
+    # the graph of ab at rank 10^12 spans two generators; the separation
+    # check must not touch the other letters of the rank
+    import resource
+    import subprocess
+    import sys
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "freegroups", "cutvertex", "ab", "--rank", "1000000000000"],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_memory,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "disconnected\n", "")
+
+
 def test_cutvertex_deeper_than_recursion_limit(capsys):
     # e1 e2^2 ... e800^2 has a path of 1600 letters as its Whitehead graph
     word = " ".join(["1"] + [f"{i} {i}" for i in range(2, 801)])
@@ -118,6 +138,14 @@ def test_fold_summary(capsys):
     assert "vertices: 2" in out
     assert "edges: 3" in out
     assert "subgroup rank: 2" in out
+    assert "generates whole group: no" in out
+
+
+def test_fold_at_huge_rank(capsys):
+    # one generator of a rank far beyond memory: the whole-group test must
+    # not build a list of the rank's generators
+    code, out, err = run(capsys, "fold", "a", "--rank", "10000000000000000000")
+    assert (code, err) == (0, "")
     assert "generates whole group: no" in out
 
 

@@ -184,7 +184,7 @@ def test_predicted_length_matches_actual():
     rng = random.Random(42)
     kind2 = enumerate_kind2(3)
     for core in random_cores(rng, 3, 60, 10):
-        cap = edge_matrix(core, range(1, 4))
+        cap = edge_matrix(whitehead_edges(core), range(1, 4))
         deg = [sum(row.values()) for row in cap]
         for a in range(6):
             crosses = list(_member_crosses(cap, deg, a))
@@ -200,7 +200,7 @@ def test_predicted_length_matches_actual():
     # a word that is not cyclically reduced has a loop at its wrap-around
     for _ in range(40):
         w = random_reduced(rng, 3, rng.randrange(2, 10)).letters
-        cap = edge_matrix(w, range(1, 4))
+        cap = edge_matrix(whitehead_edges(w), range(1, 4))
         deg = [sum(row.values()) for row in cap]
         for a in range(6):
             auts = kind2[16 * a : 16 * (a + 1)]
@@ -229,7 +229,7 @@ def test_min_cut_equals_min_cross_over_member_sets():
         kind2 = enumerate_kind2(rank)
         sets = 4 ** (rank - 1)
         for core in random_cores(rng, rank, 25, 14):
-            rows = edge_matrix(core, range(1, rank + 1))
+            rows = edge_matrix(whitehead_edges(core), range(1, rank + 1))
             for a in range(2 * rank):
                 cut, side = _max_flow(rows, a, a ^ 1, math.inf)
                 auts = kind2[sets * a : sets * (a + 1)]
@@ -240,7 +240,7 @@ def test_min_cut_equals_min_cross_over_member_sets():
 def test_capped_flow_stops_at_bound():
     rng = random.Random(46)
     for core in random_cores(rng, 3, 40, 14):
-        rows = edge_matrix(core, range(1, 4))
+        rows = edge_matrix(whitehead_edges(core), range(1, 4))
         for a in range(6):
             cut, _ = _max_flow(rows, a, a ^ 1, math.inf)
             for bound in range(cut + 2):
@@ -254,7 +254,7 @@ def test_max_flow_matches_networkx():
     rng = random.Random(47)
     for rank in (2, 3, 4, 6):
         for core in random_cores(rng, rank, 15, 30):
-            cap = edge_matrix(core, range(1, rank + 1))
+            cap = edge_matrix(whitehead_edges(core), range(1, rank + 1))
             g = nx.Graph()
             g.add_nodes_from(range(2 * rank))
             for u, row in enumerate(cap):

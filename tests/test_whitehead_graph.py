@@ -4,16 +4,18 @@ The cut vertex finder is pinned against a brute-force oracle: delete each
 vertex in turn and recount connected components among the remaining ones.
 """
 
+import hashlib
 import random
 
 import pytest
 
+from freegroups.cli import main
 from freegroups.whitehead_graph import (
     WhiteheadGraph,
     build_whitehead_graph,
     whitehead_edges,
 )
-from freegroups.words import Word, iter_reduced_words, letter_key, parse_word
+from freegroups.words import Word, format_word, iter_reduced_words, letter_key, parse_word
 
 
 def brute_components(vertices, edges, removed=None):
@@ -108,6 +110,66 @@ def test_edge_count_equals_length_random():
         g = build_whitehead_graph(w, rank)
         assert g.edge_count == len(w)
         assert sum(g.degree(v) for v in g.vertices) == 2 * g.edge_count
+
+
+def graph_corpus():
+    """Seeded words at ranks 1..5: the empty word, words over a random
+    subset of the generators (so some generators are missing), and a share
+    of conjugates that are not cyclically reduced."""
+    rng = random.Random(25)
+    out = []
+    for rank in range(1, 6):
+        out.append((Word(), rank))
+        for _ in range(80):
+            gens = rng.sample(range(1, rank + 1), rng.randint(1, rank))
+            w = random_reduced(rng, max(gens), rng.randint(1, 14))
+            w = Word(x if abs(x) in gens else gens[0] for x in w)
+            if rng.random() < 0.3:
+                w = w.conjugate_by(random_reduced(rng, rank, rng.randint(1, 2)))
+            out.append((w, rank))
+    return out
+
+
+def canonical_edges(letters):
+    # independent of the graph under test: each whitehead_edges pair put in
+    # letter order, then the list sorted in letter order
+    pairs = [
+        (x, y) if letter_key(x) <= letter_key(y) else (y, x)
+        for x, y in whitehead_edges(letters)
+    ]
+    return tuple(sorted(pairs, key=lambda p: (letter_key(p[0]), letter_key(p[1]))))
+
+
+def test_graph_corpus_frozen(capsys):
+    # sha256 frozen before WhiteheadGraph moved onto the edge-count matrix
+    corpus = graph_corpus()
+    assert len(corpus) == 405
+    assert sum(not w.is_cyclically_reduced for w, _ in corpus) > 50
+    assert sum(w.max_index < rank for w, rank in corpus) > 100
+    dump = []
+    for w, rank in corpus:
+        g = build_whitehead_graph(w, rank)
+        assert g.edges == canonical_edges(w.letters)
+        dump.append(
+            repr(
+                (
+                    repr(g),
+                    g.edges,
+                    g.edge_count,
+                    [g.degree(v) for v in g.vertices],
+                    g.find_cut_vertex(),
+                    g.articulation_points(),
+                    g.is_connected(),
+                    g.to_dot(),
+                )
+            )
+        )
+        text = format_word(w, rank)
+        for command in ("wgraph", "cutvertex"):
+            code = main([command, text, "--rank", str(rank)])
+            dump.append(f"{code} {capsys.readouterr().out}")
+    digest = hashlib.sha256("\n".join(dump).encode()).hexdigest()
+    assert digest == "8ec5f6f1ae75f15a810f2fcfa8eef99844b6f01bd0c4ea26806074412f350fc5"
 
 
 # ------------------------------------------------------------ connectivity
