@@ -19,7 +19,7 @@ from .primitivity import is_basis_pair_f2, is_primitive, whitehead_minimize
 from .stallings import build_subgroup_graph
 from .verify import primitive_density, reports_to_json, run_claims
 from .whitehead_graph import build_whitehead_graph
-from .words import are_conjugate, format_word, letter_name, parse_word
+from .words import PARSE_LETTER_CAP, are_conjugate, format_word, letter_name, parse_word
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,6 +103,11 @@ def _cmd_conjugate(args) -> int:
 
 def _cmd_wgraph(args) -> int:
     g = build_whitehead_graph(parse_word(args.word), args.rank)
+    if args.dot and 2 * args.rank > PARSE_LETTER_CAP:
+        raise ValueError(
+            f"--dot lists all 2*rank letters; rank must be at most "
+            f"{PARSE_LETTER_CAP // 2}, got {args.rank}"
+        )
     print(f"vertices: {2 * args.rank}")
     print(f"edges: {g.edge_count}")
     for u, v in g.edges:

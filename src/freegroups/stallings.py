@@ -5,8 +5,17 @@ labeled digraph with a basepoint: vertex 0, edges (u, label, v) with labels
 in 1..rank, each edge read forwards as the generator and backwards as its
 inverse.  The builder wedges one loop per generator word at the basepoint,
 then folds until no vertex has two equally labeled edges in the same
-direction, then trims degree 1 hairs away from the basepoint and renumbers
-vertices by a breadth first scan.  Folding is confluent, so the result is
+direction, then renumbers vertices by a breadth first scan.
+
+Folding is one union-find pass (Touikan 2006; Kapovich and Myasnikov
+2002).  Each vertex keeps a table from signed label to neighbour; writing
+a label a table already holds queues the two neighbours for
+identification, and merging two classes folds the smaller table into the
+larger, queueing each clash in turn.  Nothing is rebuilt or sorted while
+the queue drains, so the cost is near linear in the number of letters.
+No trimming follows: every generator is a reduced word, so every edge
+lies on a reduced closed walk at the basepoint and no other vertex can be
+left with degree <= 1.  Folding is confluent, so the result is
 independent of the order merges happen in; the renumbering makes that
 literal, and two graphs compare equal exactly when they are the same
 labeled based graph.
@@ -22,13 +31,13 @@ from __future__ import annotations
 from collections import deque
 from random import Random
 
-from .words import Word, check_rank, letter_name
+from .words import Word, check_rank, letter_key, letter_name
 
 __all__ = ["SubgroupGraph", "build_subgroup_graph"]
 
 
 class SubgroupGraph:
-    """Folded, trimmed, canonically numbered subgroup graph.
+    """Folded, canonically numbered subgroup graph.
 
     Instances come from build_subgroup_graph; the constructor only checks
     shape.  Vertex 0 is the basepoint.
@@ -122,69 +131,64 @@ class SubgroupGraph:
         }
 
 
-def _fold(edges: set, rng: Random | None):
-    """Merge vertices until the graph is folded.  Returns the folded edge
-    set with endpoints replaced by class representatives."""
-    parent: dict[int, int] = {}
+def _fold(tables: list, pending: list, rng: Random | None):
+    """Fold the label tables until no identification is pending.
+
+    tables[v] maps each signed label at vertex v to a neighbour: +x for an
+    edge v -x-> w, -x for an edge w -x-> v.  pending holds pairs of
+    vertices that must become one.  Merging two classes moves the smaller
+    table into the larger, and every label both tables carry queues its
+    two neighbours.  Neighbours are stored as they were when written and
+    resolved through find when read.  rng, when given, picks the pending
+    pair to merge next.  Returns find; the class representatives are the
+    vertices whose table is not None.
+    """
+    parent = list(range(len(tables)))
 
     def find(x: int) -> int:
         root = x
-        while parent.get(root, root) != root:
+        while parent[root] != root:
             root = parent[root]
-        while parent.get(x, x) != x:
+        while parent[x] != root:
             parent[x], x = root, parent[x]
         return root
 
-    while True:
-        edges = {(find(u), label, find(v)) for u, label, v in edges}
-        out_seen: dict = {}
-        in_seen: dict = {}
-        violations = []
-        for u, label, v in sorted(edges):
-            if (u, label) in out_seen and out_seen[u, label] != v:
-                violations.append((out_seen[u, label], v))
-            else:
-                out_seen[u, label] = v
-            if (v, label) in in_seen and in_seen[v, label] != u:
-                violations.append((in_seen[v, label], u))
-            else:
-                in_seen[v, label] = u
-        if not violations:
-            return edges, find
-        a, b = violations[rng.randrange(len(violations))] if rng else violations[0]
-        parent[find(a)] = find(b)
+    while pending:
+        if rng is not None:
+            i = rng.randrange(len(pending))
+            pending[i], pending[-1] = pending[-1], pending[i]
+        a, b = pending.pop()
+        a, b = find(a), find(b)
+        if a == b:
+            continue
+        big, small = tables[a], tables[b]
+        if len(big) < len(small):
+            a, b, big, small = b, a, small, big
+        parent[b] = a
+        tables[b] = None
+        for x, w in small.items():
+            held = big.setdefault(x, w)
+            if held != w:
+                pending.append((held, w))
+    return find
 
 
-def _trim(edges: set, base: int) -> set:
-    # drop non-basepoint vertices of degree <= 1 until none remain; a loop
-    # contributes 2, so loop-only components never shrink here (they cannot
-    # occur anyway: every edge starts out on a path through the basepoint)
-    while True:
-        deg: dict[int, int] = {}
-        for u, _, v in edges:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        drop = {x for x, d in deg.items() if x != base and d <= 1}
-        if not drop:
-            return edges
-        edges = {e for e in edges if e[0] not in drop and e[2] not in drop}
-
-
-def _renumber(edges: set, base: int):
+def _renumber(tables: list, find, base: int):
     """Breadth first relabeling from the basepoint; neighbor order is by
-    label, outgoing before incoming, so equal graphs get equal numbers."""
-    adj: dict[int, list] = {}
-    for u, label, v in edges:
-        adj.setdefault(u, []).append((label, 0, v))
-        adj.setdefault(v, []).append((label, 1, u))
+    label, outgoing before incoming (letter_key order on signed labels),
+    so equal graphs get equal numbers."""
     order = {base: 0}
     queue = deque([base])
+    edges = []
     while queue:
         cur = queue.popleft()
-        for _, _, other in sorted(adj.get(cur, ())):
+        for x in sorted(tables[cur], key=letter_key):
+            other = find(tables[cur][x])
             if other not in order:
                 order[other] = len(order)
                 queue.append(other)
+            if x > 0:
+                edges.append((cur, x, other))
     new_edges = tuple(sorted((order[u], label, order[v]) for u, label, v in edges))
     return new_edges, len(order)
 
@@ -194,14 +198,17 @@ def build_subgroup_graph(
 ) -> SubgroupGraph:
     """Fold the wedge of generator loops into a subgroup graph.
 
-    rng, when given, picks which violating edge pair to merge at each step;
-    the result is the same graph regardless, which the test suite leans on.
+    The loops are written into per-vertex label tables, and one union-find
+    pass over a queue of pending identifications folds them; see the
+    module docstring for why no trim step is needed.  rng, when given,
+    picks which pending identification to merge next; the result is the
+    same graph regardless, which the test suite leans on.
     Empty generators are skipped; no generators at all gives the one vertex
     graph of the trivial subgroup.
     """
     check_rank((), rank)
-    edges: set = set()
-    fresh = 1
+    tables: list = [{}]
+    pending: list = []
     for gen in generators:
         if not isinstance(gen, Word):
             raise TypeError(f"generators must be Word, got {type(gen).__name__}")
@@ -209,18 +216,22 @@ def build_subgroup_graph(
         if not letters:
             continue
         check_rank(letters, rank)
+        last = len(letters) - 1
         cur = 0
         for i, x in enumerate(letters):
-            nxt = 0 if i == len(letters) - 1 else fresh
-            if nxt == fresh:
-                fresh += 1
-            if x > 0:
-                edges.add((cur, x, nxt))
+            if i == last:
+                nxt = 0
             else:
-                edges.add((nxt, -x, cur))
+                nxt = len(tables)
+                tables.append({})
+            for v, y, w in ((cur, x, nxt), (nxt, -x, cur)):
+                held = tables[v].setdefault(y, w)
+                if held != w:
+                    pending.append((held, w))
             cur = nxt
-    folded, find = _fold(edges, rng)
-    base = find(0)
-    trimmed = _trim(folded, base)
-    new_edges, count = _renumber(trimmed, base)
+    find = _fold(tables, pending, rng)
+    # No trim: a Word is freely reduced, so its loop folds onto a reduced
+    # closed walk at the basepoint; every edge lies on such a walk, hence
+    # no vertex but the basepoint is left with degree <= 1.
+    new_edges, count = _renumber(tables, find, find(0))
     return SubgroupGraph(rank, count, new_edges)

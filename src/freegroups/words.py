@@ -231,7 +231,7 @@ class CyclicWord:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CyclicWord):
             return NotImplemented
-        return _is_rotation(self.word.letters, other.word.letters)
+        return len(self) == len(other) and self.canonical() == other.canonical()
 
     def __hash__(self) -> int:
         return hash(("cyclic", self.canonical().letters))
@@ -244,23 +244,39 @@ class CyclicWord:
 
 
 def canonical_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """Least rotation of a letter sequence under the standard letter order."""
-    if not letters:
-        return letters
-    key = lambda t: tuple(letter_key(x) for x in t)
-    return min(
-        (letters[i:] + letters[:i] for i in range(len(letters))), key=key
-    )
+    """Least rotation of a letter sequence under the standard letter order.
+
+    Linear time: two candidate starts i < j race along the doubled
+    sequence, and at the first mismatch after k equal letters the larger
+    candidate, and the k starts after it, are ruled out.
+
+    >>> canonical_rotation((2, -1, 2))
+    (-1, 2, 2)
+    """
+    n = len(letters)
+    # 2|x| + (x < 0) orders letters as letter_key does
+    keys = [2 * x if x > 0 else 1 - 2 * x for x in letters] * 2
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = keys[i + k], keys[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        elif i > j:
+            i, j = j, i
+        k = 0
+    return letters[i:] + letters[:i]
 
 
 def _is_rotation(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    # b is a rotation of a exactly when it occurs in the doubled a
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    double = a + a
-    return any(double[i : i + len(b)] == b for i in range(len(a)))
+    # rotations of one another exactly when the least rotations agree
+    return len(a) == len(b) and canonical_rotation(a) == canonical_rotation(b)
 
 
 def commutator(u: Word, v: Word) -> Word:

@@ -1,6 +1,7 @@
 """Tests for the command line interface: output, exit codes, file flags."""
 
 import json
+import time
 
 import pytest
 
@@ -42,6 +43,16 @@ def test_conjugate_exit_codes(capsys):
     assert (code, out) == (1, "not conjugate\n")
 
 
+def test_conjugate_long_words_quickly(capsys):
+    # about 200,000 letters; an offset-by-offset rotation scan takes tens of seconds
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "conjugate", "a^99999b", "ba^99999")
+    assert (code, out) == (0, "conjugate\n")
+    code, out, _ = run(capsys, "conjugate", "a^99999b", "Ba^99999")
+    assert (code, out) == (1, "not conjugate\n")
+    assert time.perf_counter() - start < 10
+
+
 # --- graph commands ---
 
 
@@ -60,6 +71,28 @@ def test_wgraph_dot_file(capsys, tmp_path):
     text = target.read_text()
     assert text.startswith("graph whitehead {")
     assert f"wrote {target}" in out
+
+
+def test_wgraph_dot_refused_at_huge_rank(tmp_path):
+    # DOT lists all 2*rank letters: refuse before printing anything
+    import resource
+    import subprocess
+    import sys
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "freegroups", "wgraph", "ab", "--rank", "1000000000000",
+         "--dot", str(tmp_path / "g.dot")],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_memory,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: --dot")
+    assert not (tmp_path / "g.dot").exists()
 
 
 def test_cutvertex_verdicts(capsys):

@@ -1,11 +1,16 @@
 """Tests for subgroup graph folding, membership, rank, and confluence."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
 from freegroups.stallings import SubgroupGraph, build_subgroup_graph
 from freegroups.words import Word, parse_word
+
+
+FOLD_CORPUS_SHA256 = "c48e929f1e068dab12c15afed1a2accd72a61668e9f0f9476ff88f713deb165a"
 
 
 def words(*texts):
@@ -227,3 +232,76 @@ def test_rejects_bad_input():
 def test_empty_generators_skipped():
     g = build_subgroup_graph([Word([]), parse_word("a")], 2)
     assert g.edges == ((0, 1, 0),)
+
+
+# --- frozen corpus, scale and the no-hair invariant ---
+
+
+def fold_corpus():
+    """Seeded generator sets at ranks 1-4, with empty words, inverse pairs
+    and duplicate generators; each is folded in the default and in a
+    seeded merge order.  Yields (rank, gens, queries, default, seeded)."""
+    rng = random.Random(53)
+    for trial in range(400):
+        rank = 1 + trial % 4
+        gens = [
+            random_reduced(rng, rank, rng.randrange(0, 9))
+            for _ in range(rng.randrange(0, 5))
+        ]
+        if gens and trial % 5 == 1:
+            gens.append(~rng.choice(gens))
+        if gens and trial % 5 == 2:
+            gens.append(rng.choice(gens))
+        if trial % 7 == 3:
+            gens.insert(rng.randrange(len(gens) + 1), Word([]))
+        queries = list(gens) + [random_reduced(rng, rank, rng.randrange(0, 7)) for _ in range(4)]
+        for _ in range(4):
+            acc = Word([])
+            for _ in range(rng.randrange(0, 4)):
+                if gens:
+                    f = rng.choice(gens)
+                    acc = acc * (f if rng.random() < 0.5 else ~f)
+            queries.append(acc)
+        default = build_subgroup_graph(gens, rank)
+        seeded = build_subgroup_graph(gens, rank, rng=random.Random(trial))
+        yield rank, gens, queries, default, seeded
+
+
+def test_fold_corpus_frozen():
+    digest = hashlib.sha256()
+    for rank, gens, queries, default, seeded in fold_corpus():
+        for g in (default, seeded):
+            record = (
+                json.dumps(g.to_json_dict(), sort_keys=True),
+                g.to_dot(),
+                g.subgroup_rank(),
+                g.generates_whole_group(),
+                [g.contains(q) for q in queries],
+            )
+            digest.update(repr(record).encode())
+    # frozen before the union-find fold replaced the re-sorting one
+    assert digest.hexdigest() == FOLD_CORPUS_SHA256
+
+
+def test_no_hair_away_from_basepoint():
+    for _, gens, _, g, _ in fold_corpus():
+        degree = [0] * g.num_vertices
+        for u, _, v in g.edges:
+            degree[u] += 1
+            degree[v] += 1
+        assert all(d >= 2 for d in degree[1:]), gens
+
+
+def test_fold_at_scale():
+    # both took minutes when every merge re-sorted the edge set
+    m = 200
+    g = build_subgroup_graph([Word([1] * k + [2] + [-1] * k) for k in range(m + 1)], 2)
+    assert (g.num_vertices, g.subgroup_rank()) == (m + 1, m + 1)
+    assert g.contains(Word([1] * m + [2, 2] + [-1] * m))
+    assert not g.contains(Word([1] * (m + 1) + [2] + [-1] * (m + 1)))
+    assert not g.contains(Word([1]))
+    k = 20000
+    g = build_subgroup_graph([Word([1] * k + [2] + [-1] * k)], 2)
+    assert (g.num_vertices, g.num_edges, g.subgroup_rank()) == (k + 1, k + 1, 1)
+    assert g.contains(Word([1] * k + [2, 2, 2] + [-1] * k))
+    assert not g.contains(Word([1] * (k - 1) + [2] + [-1] * (k - 1)))

@@ -1,8 +1,9 @@
 """Word arithmetic tests.
 
 Derived expected values are pinned against slow oracles defined here:
-naive_reduce rescans the sequence until nothing cancels, and the rotation
-oracle compares full rotation sets instead of using the doubled-core scan.
+naive_reduce rescans the sequence until nothing cancels, the rotation
+oracle compares full rotation sets, and the least rotation oracle keys
+every rotation instead of racing two candidate starts.
 """
 
 import random
@@ -21,6 +22,7 @@ from freegroups.words import (
     cyclically_reduce,
     format_word,
     iter_reduced_words,
+    letter_key,
     parse_word,
     word_sort_key,
 )
@@ -212,6 +214,28 @@ def test_canonical_rotation_is_least():
     assert canonical_rotation((2, 1)) == (1, 2)
     assert canonical_rotation((2, -1, 2)) == (-1, 2, 2)
     assert canonical_rotation(()) == ()
+
+
+def least_rotation_oracle(letters):
+    # every rotation with its full key tuple; quadratic but independent
+    if not letters:
+        return letters
+    key = lambda t: tuple(letter_key(x) for x in t)
+    return min((letters[i:] + letters[:i] for i in range(len(letters))), key=key)
+
+
+def test_canonical_rotation_matches_oracle():
+    rng = random.Random(15)
+    for _ in range(3000):
+        rank = rng.randint(1, 3)
+        letters = tuple(random_raw(rng, rank, 12))
+        if letters and rng.random() < 0.3:  # periodic words tie many rotations
+            letters *= rng.randint(2, 4)
+        assert canonical_rotation(letters) == least_rotation_oracle(letters), letters
+    for period in [(1,), (1, -2), (2, -1, 1), (-1, -1, 2)]:
+        for k in range(1, 6):
+            letters = period * k
+            assert canonical_rotation(letters) == least_rotation_oracle(letters)
 
 
 # ------------------------------------------------------------- conjugacy
