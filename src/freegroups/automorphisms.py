@@ -46,9 +46,6 @@ class PermutationAut:
             range(1, len(self.images) + 1)
         )
 
-    def apply_letter(self, x: int) -> int:
-        return self.images[x - 1] if x > 0 else -self.images[-x - 1]
-
     def apply(self, w: Word) -> Word:
         return apply_aut(self, w)
 

@@ -250,6 +250,50 @@ def is_primitive(w: Word, rank: int) -> bool:
     return len(core) == 1
 
 
+class _VerdictCache:
+    """Primitivity verdicts of one exhaustive sweep, one per symmetry class.
+
+    Primitivity is invariant under rotation, inversion and signed
+    generator permutations, and so is the separability of the Whitehead
+    graph: a permutation relabels its vertices and inversion keeps its
+    edges.  A class is keyed by the least rotation of any of its cyclic
+    cores.  A miss minimizes the core once and files the class under the
+    least rotation of each kind 1 image and of its inverse, at most
+    2 * n! * 2^n keys.  Build one per sweep and drop it with the sweep.
+    The independent routes (is_primitive, whitehead_minimize and the orbit
+    oracle) never read it.
+    """
+
+    RANK_CAP = 3
+
+    def __init__(self, rank: int):
+        if not 1 <= rank <= self.RANK_CAP:
+            raise ValueError(f"verdict cache rank cap is {self.RANK_CAP}, got {rank}")
+        self.rank = rank
+        self._kind1 = [t.images for t in enumerate_kind1(rank)]
+        self._class_of: dict[tuple[int, ...], int] = {}
+        self.primitive: list[bool] = []
+
+    def classify(self, core: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """(least rotation, class index) of a nonempty cyclically reduced
+        core; primitive[class index] is the class's verdict."""
+        key = canonical_rotation(core)
+        cls = self._class_of.get(key)
+        if cls is None:
+            cls = len(self.primitive)
+            self.primitive.append(len(_minimize_letters(core, self.rank)[0]) == 1)
+            for images in self._kind1:
+                image = _apply_k1_letters(images, key)
+                self._class_of[canonical_rotation(image)] = cls
+                self._class_of[canonical_rotation(tuple(-x for x in reversed(image)))] = cls
+        return key, cls
+
+    def is_primitive(self, w: Word) -> bool:
+        """is_primitive(w, rank) for a word of the cache's rank."""
+        core = _cyclic_strip(w.letters)[0]
+        return bool(core) and self.primitive[self.classify(core)[1]]
+
+
 _F2_COMMUTATOR = commutator(Word([1]), Word([2]))
 
 

@@ -21,10 +21,15 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, NamedTuple
 
-from .primitivity import is_basis_pair_f2, is_primitive, whitehead_minimize
+from .primitivity import (
+    _VerdictCache,
+    is_basis_pair_f2,
+    is_primitive,
+    whitehead_minimize,
+)
 from .stallings import build_subgroup_graph
 from .whitehead_graph import build_whitehead_graph
-from .words import Word, cyclically_reduce, format_word, iter_reduced_words
+from .words import Word, _cyclic_strip, format_word, iter_reduced_words
 
 
 @dataclass
@@ -247,22 +252,29 @@ def verify_prop24(rank: int, max_len: int) -> VerificationReport:
 
 
 def _prop24(rank: int, max_len: int):
+    verdicts = _VerdictCache(rank)
     counterexamples = []
     checked = 0
     primitives = 0
     separable_by_core: dict = {}
+    separable_by_class: dict = {}
     for w in iter_reduced_words(rank, max_len, include_empty=False):
         checked += 1
-        if not is_primitive(w, rank):
+        core = _cyclic_strip(w.letters)[0]
+        key, cls = verdicts.classify(core)
+        if not verdicts.primitive[cls]:
             continue
         primitives += 1
-        core, _ = cyclically_reduce(w)
-        if core in separable_by_core:
+        if key in separable_by_core:
             continue
-        verdict = build_whitehead_graph(core.word, rank).find_cut_vertex()
-        separable_by_core[core] = verdict.separable
-        if not verdict.separable:
-            counterexamples.append(format_word(core.word))
+        core_word = Word._wrap(core, rank)
+        separable = separable_by_class.get(cls)
+        if separable is None:
+            separable = build_whitehead_graph(core_word, rank).find_cut_vertex().separable
+            separable_by_class[cls] = separable
+        separable_by_core[key] = separable
+        if not separable:
+            counterexamples.append(format_word(core_word))
     return counterexamples, {
         "words_checked": checked,
         "primitives_found": primitives,
@@ -280,6 +292,7 @@ def verify_nielsen_xcheck(max_pair_len: int) -> VerificationReport:
 
 def _nielsen_xcheck(max_pair_len: int):
     ball = list(iter_reduced_words(2, max_pair_len, include_empty=True))
+    verdicts = _VerdictCache(2)
     counterexamples = []
     checked = 0
     basis_pairs = 0
@@ -294,7 +307,7 @@ def _nielsen_xcheck(max_pair_len: int):
             ok = by_commutator == by_rose
             if ok and by_commutator:
                 basis_pairs += 1
-                ok = is_primitive(a, 2) and is_primitive(b, 2)
+                ok = verdicts.is_primitive(a) and verdicts.is_primitive(b)
             if not ok:
                 counterexamples.append(f"({format_word(a)}, {format_word(b)})")
     return counterexamples, {"words_checked": checked, "basis_pairs": basis_pairs}
@@ -436,11 +449,12 @@ def primitive_density(rank: int, max_len: int):
         raise ValueError(f"rank must be in 1..3, got {rank}")
     if not 1 <= max_len <= 8:
         raise ValueError(f"max_len must be in 1..8, got {max_len}")
+    verdicts = _VerdictCache(rank)
     totals = [0] * (max_len + 1)
     prims = [0] * (max_len + 1)
     for w in iter_reduced_words(rank, max_len, include_empty=False):
         totals[len(w)] += 1
-        if is_primitive(w, rank):
+        if verdicts.is_primitive(w):
             prims[len(w)] += 1
     return [
         (length, prims[length], totals[length], prims[length] / totals[length])

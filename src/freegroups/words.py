@@ -412,24 +412,38 @@ def iter_reduced_words(
     rank: int, max_len: int, include_empty: bool = True
 ) -> Iterator[Word]:
     """All reduced words of length <= max_len, by length then lexicographic
-    in the standard letter order.  Deterministic."""
+    in the standard letter order.  Deterministic and lazy: each length is a
+    depth-first walk over its stems with an explicit stack, so memory is
+    O(max_len) however large the ball."""
     check_rank((), rank)
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     alphabet = letter_order(rank)
     if include_empty:
         yield Word._wrap((), rank)
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(max_len):
-        nxt: list[tuple[int, ...]] = []
-        for stem in frontier:
-            for x in alphabet:
-                if stem and stem[-1] == -x:
-                    continue
-                grown = stem + (x,)
-                yield Word._wrap(grown, rank)
-                nxt.append(grown)
-        frontier = nxt
+    # follow[x]: the one-letter tails that may come after x, in letter order
+    follow = {x: [(y,) for y in alphabet if y != -x] for x in alphabet}
+    follow[0] = [(y,) for y in alphabet]
+    new = object.__new__
+    for length in range(1, max_len + 1):
+        # (stem, its untried tails) for each stem shorter than length
+        stack = [((), iter(follow[0]))]
+        while stack:
+            stem, untried = stack[-1]
+            if len(stem) == length - 1:
+                stack.pop()
+                for tail in follow[stem[-1] if stem else 0]:
+                    # Word._wrap inlined: the call cost a quarter of the loop
+                    w = new(Word)
+                    w.letters = stem + tail
+                    w.rank_hint = rank
+                    yield w
+                continue
+            tail = next(untried, None)
+            if tail is None:
+                stack.pop()
+            else:
+                stack.append((stem + tail, iter(follow[tail[0]])))
 
 
 def count_reduced_words(rank: int, max_len: int) -> int:

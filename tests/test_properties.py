@@ -1,4 +1,7 @@
-"""Hypothesis properties of folding and of the word text forms.
+"""Hypothesis properties of folding, of the word text forms and of the
+Whitehead automorphisms.  The per-sweep verdict cache files one verdict
+under every signed permutation image of a core and of its inverse, so
+the invariances it relies on are checked here as properties.
 
 The examples are derandomized by the profile in conftest.py.
 """
@@ -12,8 +15,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
+from freegroups.automorphisms import apply_aut, enumerate_kind1, enumerate_kind2
+from freegroups.primitivity import is_primitive
 from freegroups.stallings import build_subgroup_graph
-from freegroups.words import Word, format_word, parse_word
+from freegroups.whitehead_graph import build_whitehead_graph
+from freegroups.words import Word, are_conjugate, format_word, parse_word
 
 
 @st.composite
@@ -73,3 +79,47 @@ def test_parse_format_round_trip(case):
     rank, w = case
     assert parse_word(format_word(w)) == w
     assert parse_word(format_word(w, rank), rank) == w
+
+
+ranked_auts = st.integers(1, 3).flatmap(
+    lambda rank: st.tuples(
+        st.just(rank), st.sampled_from(enumerate_kind1(rank) + enumerate_kind2(rank))
+    )
+)
+
+
+@given(ranked_auts, st.data())
+def test_aut_is_homomorphism_undone_by_inverse(case, data):
+    rank, aut = case
+    u, v = data.draw(words(rank)), data.draw(words(rank))
+    assert apply_aut(aut, u * v) == apply_aut(aut, u) * apply_aut(aut, v)
+    assert apply_aut(aut, ~u) == ~apply_aut(aut, u)
+    assert apply_aut(aut.inverse(), apply_aut(aut, u)) == u
+    assert apply_aut(aut, apply_aut(aut.inverse(), u)) == u
+
+
+@given(ranked_auts, st.data())
+def test_aut_preserves_primitivity_and_conjugacy(case, data):
+    rank, aut = case
+    u = data.draw(words(rank))
+    assert is_primitive(apply_aut(aut, u), rank) == is_primitive(u, rank)
+    # v is a conjugate of u or an arbitrary word, so both answers occur
+    g = data.draw(words(rank, 4))
+    v = u.conjugate_by(g) if data.draw(st.booleans()) else data.draw(words(rank))
+    assert are_conjugate(apply_aut(aut, u), apply_aut(aut, v)) == are_conjugate(u, v)
+
+
+def separable(w, rank):
+    return build_whitehead_graph(w.cyclic_core(), rank).find_cut_vertex().separable
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda rank: st.tuples(st.just(rank), st.sampled_from(enumerate_kind1(rank)), words(rank, 12))
+    )
+)
+def test_inversion_and_permutations_keep_separability(case):
+    rank, perm, w = case
+    assert separable(~w, rank) == separable(w, rank)
+    assert separable(apply_aut(perm, w), rank) == separable(w, rank)
+    assert is_primitive(~w, rank) == is_primitive(w, rank)

@@ -3,6 +3,7 @@ claim checker at small parameters, report serialization, and the grid."""
 
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import freegroups
 
 from freegroups.verify import (
+    _CLAIMS,
     CLAIM_IDS,
     VerificationReport,
     WijFamily,
@@ -62,8 +64,8 @@ def test_package_has_no_assert_statements():
     # invariants must hold under python -O, which strips assert statements
     package = Path(freegroups.__file__).parent
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(package.glob("*.py"))
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
     ]
@@ -362,3 +364,40 @@ def test_claim_id_registry():
         "claimII",
         "lemma38",
     }
+
+
+def _cap_values(spec: str, rank):
+    # "2 or 3" is a tuple of values, "0..8" and "1..rank" inclusive ranges
+    if " or " in spec:
+        return tuple(int(x) for x in spec.split(" or "))
+    low, high = spec.split("..")
+    return range(int(low), (rank if high == "rank" else int(high)) + 1)
+
+
+def test_readme_claim_table_matches_claims():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = {
+        m[1]: (m[2], m[3])
+        for line in readme.read_text().splitlines()
+        if (m := re.fullmatch(r"\| `([\w-]+)` \| [^|]+ \| ([^|]+) \| ([^|]+) \|", line))
+    }
+    assert list(rows) == list(CLAIM_IDS)
+    for claim_id, (grid_text, caps_text) in rows.items():
+        claim = _CLAIMS[claim_id]
+        grid = [
+            {name: int(value) for name, value in (pair.split(" ") for pair in entry.split(", "))}
+            for entry in re.sub(r" \(.*\)$", "", grid_text).split("; ")
+        ]
+        assert grid == list(claim.grid), claim_id
+        caps = dict(item.split(" ", 1) for item in caps_text.split("; "))
+        assert list(caps) == list(claim.caps), claim_id
+        for rank in claim.caps.get("rank", [None]):
+            suffix = f" at rank {rank}"
+            for name, text in caps.items():
+                specs = text.split(", ")
+                if len(specs) > 1:
+                    specs = [s.removesuffix(suffix) for s in specs if s.endswith(suffix)]
+                assert len(specs) == 1, (claim_id, name, rank)
+                allowed = claim.allowed(name, {"rank": rank})
+                parsed = _cap_values(specs[0], rank)
+                assert (type(parsed), parsed) == (type(allowed), allowed), (claim_id, name, rank)

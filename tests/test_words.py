@@ -2,11 +2,13 @@
 
 Derived expected values are pinned against slow oracles defined here:
 naive_reduce rescans the sequence until nothing cancels, the rotation
-oracle compares full rotation sets, and the least rotation oracle keys
-every rotation instead of racing two candidate starts.
+oracle compares full rotation sets, the least rotation oracle keys
+every rotation instead of racing two candidate starts, and the ball
+oracle grows whole breadth-first frontiers instead of walking stems.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -23,6 +25,7 @@ from freegroups.words import (
     format_word,
     iter_reduced_words,
     letter_key,
+    letter_order,
     parse_word,
     word_sort_key,
 )
@@ -384,6 +387,42 @@ def test_format_parse_round_trip():
 
 
 # ----------------------------------------------------------- enumeration
+
+def bfs_ball(rank, max_len, include_empty):
+    """Breadth-first oracle: every stem of one length extended by every
+    letter, in letter order."""
+    out = [()] if include_empty else []
+    frontier = [()]
+    for _ in range(max_len):
+        frontier = [
+            stem + (x,)
+            for stem in frontier
+            for x in letter_order(rank)
+            if not stem or stem[-1] != -x
+        ]
+        out += frontier
+    return out
+
+
+@pytest.mark.parametrize("rank,max_len", [(2, 10), (3, 6), (1, 5), (4, 4), (2, 0), (3, 1)])
+@pytest.mark.parametrize("include_empty", [True, False])
+def test_ball_order_matches_breadth_first_oracle(rank, max_len, include_empty):
+    words = [w.letters for w in iter_reduced_words(rank, max_len, include_empty)]
+    assert words == bfs_ball(rank, max_len, include_empty)
+    assert len(words) == count_reduced_words(rank, max_len) - (not include_empty)
+
+
+def test_ball_memory_is_bounded():
+    # the rank 3 ball up to length 7 has 117,187 words; none may be retained
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in iter_reduced_words(3, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == count_reduced_words(3, 7)
+    assert peak < 64 * 1024, peak
+
 
 def test_ball_counts_match_formula():
     for rank, max_len in [(1, 6), (2, 5), (3, 4)]:
