@@ -2,10 +2,11 @@
 
 Verdict subcommands (conjugate, cutvertex, primitive, nielsen, member,
 verify) exit 0 when the answer is yes / everything passed and 1 otherwise;
-malformed words, bad ranks, and bad flags exit 2.  Any other exception is
-a fault in the program, not a verdict: it prints its traceback and an
-"internal error:" line and exits 3.  Word arguments take either letter
-form ("abA", "a^3B") or whitespace separated indices ("1 2 -1").
+malformed words, bad ranks, bad flags, and a --dot or --json file that
+cannot be written exit 2.  Any other exception is a fault in the program,
+not a verdict: it prints its traceback and an "internal error:" line and
+exits 3.  Word arguments take either letter form ("abA", "a^3B") or
+whitespace separated indices ("1 2 -1").
 """
 
 from __future__ import annotations
@@ -83,6 +84,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; failing to is a usage error, not a fault."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+    print(f"wrote {path}")
+
+
 def _cmd_reduce(args) -> int:
     print(format_word(parse_word(args.word)))
     return 0
@@ -113,8 +123,7 @@ def _cmd_wgraph(args) -> int:
     for u, v in g.edges:
         print(f"{letter_name(u)} -- {letter_name(v)}")
     if args.dot:
-        Path(args.dot).write_text(g.to_dot())
-        print(f"wrote {args.dot}")
+        _write(args.dot, g.to_dot())
     return 0
 
 
@@ -165,8 +174,7 @@ def _cmd_fold(args) -> int:
     print(f"subgroup rank: {g.subgroup_rank()}")
     print(f"generates whole group: {'yes' if g.generates_whole_group() else 'no'}")
     if args.dot:
-        Path(args.dot).write_text(g.to_dot())
-        print(f"wrote {args.dot}")
+        _write(args.dot, g.to_dot())
     return 0
 
 
@@ -206,8 +214,7 @@ def _cmd_verify(args) -> int:
         for c in r.counterexamples:
             print(f"  counterexample: {c}")
     if args.json:
-        Path(args.json).write_text(reports_to_json(reports))
-        print(f"wrote {args.json}")
+        _write(args.json, reports_to_json(reports))
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -52,7 +52,7 @@ from .words import (
     CyclicWord,
     Word,
     _cyclic_strip,
-    are_conjugate,
+    _reduce_tuple,
     canonical_rotation,
     check_rank,
     commutator,
@@ -91,9 +91,11 @@ class MinimizationTrace:
 
 
 def _max_flow(cap: list[dict[int, int]], s: int, t: int, bound: float):
-    """Maximum s-t flow in the multigraph of the sparse edge-count matrix
-    cap, one unit of capacity per edge, by shortest augmenting paths.
-    Stops once the flow reaches bound, which may be math.inf.
+    """Maximum s-t flow in the multigraph of the symmetric sparse
+    edge-count matrix cap, one unit of capacity per edge.  The direct
+    edges s-t and the two-hop paths s-x-t are saturated first, and breadth
+    first augmenting paths carry the rest.  Stops once the flow
+    reaches bound, which may be math.inf.
 
     Returns (flow, side).  Below the bound, flow is the minimum s-t cut and
     side is the set of vertices reachable from s in the residual graph: the
@@ -101,7 +103,25 @@ def _max_flow(cap: list[dict[int, int]], s: int, t: int, bound: float):
     flow.  At the bound, flow equals bound and side is None.
     """
     res = [dict(row) for row in cap]
+    out = res[s]
     flow = 0
+    # The edges s-t and the paths s-x-t share no edge, so they are
+    # saturated in one sweep.  No augmenting path re-enters s or leaves t,
+    # so the reverse residual edges of these paths would never be read and
+    # are not written.
+    for x, c in out.items():
+        if flow >= bound:
+            break
+        if x == s or not c:
+            continue
+        push = min(c, bound - flow)
+        if x != t:
+            push = min(push, res[x].get(t, 0))
+            if not push:
+                continue
+            res[x][t] -= push
+        out[x] -= push
+        flow += push
     while flow < bound:
         parent = {s: s}
         queue = [s]
@@ -294,20 +314,26 @@ class _VerdictCache:
         return bool(core) and self.primitive[self.classify(core)[1]]
 
 
-_F2_COMMUTATOR = commutator(Word([1]), Word([2]))
+# least rotations of the cores of [e1, e2] and of its inverse [e2, e1]
+_F2_COMMUTATOR_ROTATIONS = tuple(
+    canonical_rotation(commutator(Word([x]), Word([y])).letters) for x, y in ((1, 2), (2, 1))
+)
 
 
 def is_basis_pair_f2(a: Word, b: Word) -> bool:
     """Whether (a, b) is a basis of the rank 2 free group.
 
     Nielsen's criterion: the pair is a basis exactly when the commutator
-    [a, b] is conjugate to [e1, e2] or to its inverse [e2, e1].
+    [a, b] = a^-1 b^-1 a b is conjugate to [e1, e2] or to its inverse
+    [e2, e1], that is when its cyclic core has length 4 and the same least
+    rotation as one of theirs.
     """
-    check_rank(a.letters + b.letters, 2)
-    c = commutator(a, b)
-    return are_conjugate(c, _F2_COMMUTATOR) or are_conjugate(
-        c, _F2_COMMUTATOR.inverse()
-    )
+    ab = a.letters + b.letters
+    check_rank(ab, 2)
+    # a^-1 b^-1 is the inverse of b a
+    ba_inv = [-x for x in reversed(b.letters + a.letters)]
+    core = _cyclic_strip(_reduce_tuple(ba_inv + list(ab)))[0]
+    return len(core) == 4 and canonical_rotation(core) in _F2_COMMUTATOR_ROTATIONS
 
 
 def primitive_orbit_oracle(rank: int, max_len: int) -> set[Word]:

@@ -5,7 +5,9 @@ labeled digraph with a basepoint: vertex 0, edges (u, label, v) with labels
 in 1..rank, each edge read forwards as the generator and backwards as its
 inverse.  The builder wedges one loop per generator word at the basepoint,
 then folds until no vertex has two equally labeled edges in the same
-direction, then renumbers vertices by a breadth first scan.
+direction.  The vertices are renumbered by a breadth first scan on first
+use, the first read of edges, ==, hash, contains, to_json_dict or to_dot;
+until then the graph keeps the folded tables and knows only its counts.
 
 Folding is one union-find pass (Touikan 2006; Kapovich and Myasnikov
 2002).  Each vertex keeps a table from signed label to neighbour; writing
@@ -23,12 +25,14 @@ labeled based graph.
 Reduced words in the subgroup correspond one to one with reduced closed
 walks at the basepoint, which is what contains() checks.  The subgroup's
 rank is edges - vertices + 1, and the subgroup is everything exactly when
-the graph is the rose: one vertex carrying one loop per generator.
+the graph is the rose: one vertex carrying one loop per generator.  The
+rose test reads the counts first, so a graph of more than one vertex,
+which is most of them in a sweep over generator pairs, is never numbered;
+only a one vertex graph with rank edges reads its labels.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from random import Random
 
 from .words import Word, check_rank, letter_key, letter_name
@@ -37,13 +41,15 @@ __all__ = ["SubgroupGraph", "build_subgroup_graph"]
 
 
 class SubgroupGraph:
-    """Folded, canonically numbered subgroup graph.
+    """Folded subgroup graph.  Vertex 0 is the basepoint.
 
-    Instances come from build_subgroup_graph; the constructor only checks
-    shape.  Vertex 0 is the basepoint.
+    Instances come from build_subgroup_graph, which hands over the folded
+    label tables and the counts; the canonical numbering is made on the
+    first read of edges and the tables are dropped then.  The public
+    constructor takes a numbering as given and checks its shape.
     """
 
-    __slots__ = ("rank", "num_vertices", "edges", "_trans")
+    __slots__ = ("rank", "num_vertices", "num_edges", "_edges", "_folded", "_trans")
 
     def __init__(self, rank: int, num_vertices: int, edges):
         check_rank((), rank)
@@ -57,18 +63,39 @@ class SubgroupGraph:
                 raise ValueError(f"edge label {label} outside 1..{rank}")
         self.rank = rank
         self.num_vertices = num_vertices
-        self.edges = edges
+        self.num_edges = len(edges)
+        self._edges = edges
+        self._folded = None
         self._trans = None
 
+    @classmethod
+    def _from_tables(cls, rank: int, tables: list, find) -> "SubgroupGraph":
+        """The graph of the folded label tables of _fold and its find."""
+        g = object.__new__(cls)
+        g.rank = rank
+        g.num_vertices = len(tables) - tables.count(None)
+        # each edge u -x-> v files +x in the table of u and -x in that of v
+        g.num_edges = sum(map(len, filter(None, tables))) // 2
+        g._edges = None
+        g._folded = (tables, find)
+        g._trans = None
+        return g
+
     @property
-    def num_edges(self) -> int:
-        return len(self.edges)
+    def edges(self) -> tuple:
+        """The edges (u, label, v) in the canonical numbering, sorted."""
+        if self._edges is None:
+            tables, find = self._folded
+            self._edges = _renumber(tables, find, find(0))
+            self._folded = None
+        return self._edges
 
     def subgroup_rank(self) -> int:
         return self.num_edges - self.num_vertices + 1
 
     def generates_whole_group(self) -> bool:
-        # the edge count first: the rank may be far larger than the graph
+        # the counts first: a graph of more than one vertex is never
+        # numbered here, and the rank may be far larger than the graph
         return self.num_vertices == 1 and self.num_edges == self.rank and sorted(
             label for _, label, _ in self.edges
         ) == list(range(1, self.rank + 1))
@@ -100,11 +127,16 @@ class SubgroupGraph:
         return (
             self.rank == other.rank
             and self.num_vertices == other.num_vertices
+            and self.num_edges == other.num_edges
             and self.edges == other.edges
         )
 
     def __hash__(self) -> int:
         return hash((self.rank, self.num_vertices, self.edges))
+
+    def __reduce__(self):
+        # pickle and copy the numbered graph, not the folded tables
+        return SubgroupGraph, (self.rank, self.num_vertices, self.edges)
 
     def __repr__(self) -> str:
         return (
@@ -173,24 +205,26 @@ def _fold(tables: list, pending: list, rng: Random | None):
     return find
 
 
-def _renumber(tables: list, find, base: int):
+def _renumber(tables: list, find, base: int) -> tuple:
     """Breadth first relabeling from the basepoint; neighbor order is by
     label, outgoing before incoming (letter_key order on signed labels),
-    so equal graphs get equal numbers."""
+    so equal graphs get equal numbers.  Vertices are numbered in the order
+    they are scanned, and each lists its outgoing edges by label, so the
+    edges come out sorted."""
     order = {base: 0}
-    queue = deque([base])
+    queue = [base]
     edges = []
-    while queue:
-        cur = queue.popleft()
-        for x in sorted(tables[cur], key=letter_key):
-            other = find(tables[cur][x])
-            if other not in order:
-                order[other] = len(order)
+    for u, cur in enumerate(queue):
+        table = tables[cur]
+        for x in sorted(table, key=letter_key):
+            other = find(table[x])
+            v = order.get(other)
+            if v is None:
+                v = order[other] = len(queue)
                 queue.append(other)
             if x > 0:
-                edges.append((cur, x, other))
-    new_edges = tuple(sorted((order[u], label, order[v]) for u, label, v in edges))
-    return new_edges, len(order)
+                edges.append((u, x, v))
+    return tuple(edges)
 
 
 def build_subgroup_graph(
@@ -216,22 +250,21 @@ def build_subgroup_graph(
         if not letters:
             continue
         check_rank(letters, rank)
-        last = len(letters) - 1
         cur = 0
-        for i, x in enumerate(letters):
-            if i == last:
-                nxt = 0
-            else:
-                nxt = len(tables)
-                tables.append({})
-            for v, y, w in ((cur, x, nxt), (nxt, -x, cur)):
-                held = tables[v].setdefault(y, w)
-                if held != w:
-                    pending.append((held, w))
+        for x in letters[:-1]:
+            nxt = len(tables)
+            tables.append({-x: cur})  # a fresh vertex holds no label yet
+            held = tables[cur].setdefault(x, nxt)
+            if held != nxt:
+                pending.append((held, nxt))
             cur = nxt
+        x = letters[-1]  # the last letter closes the loop at the basepoint
+        for v, y, w in ((cur, x, 0), (0, -x, cur)):
+            held = tables[v].setdefault(y, w)
+            if held != w:
+                pending.append((held, w))
     find = _fold(tables, pending, rng)
     # No trim: a Word is freely reduced, so its loop folds onto a reduced
     # closed walk at the basepoint; every edge lies on such a walk, hence
     # no vertex but the basepoint is left with degree <= 1.
-    new_edges, count = _renumber(tables, find, find(0))
-    return SubgroupGraph(rank, count, new_edges)
+    return SubgroupGraph._from_tables(rank, tables, find)

@@ -299,6 +299,24 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert err.splitlines()[-1] == "internal error: RuntimeError: broken invariant"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wgraph", "ab", "--rank", "2", "--dot"],
+        ["fold", "ab", "--rank", "2", "--dot"],
+        ["verify", "claimI", "--json"],
+    ],
+)
+def test_unwritable_output_exits_2(capsys, tmp_path, argv):
+    # a missing directory and a directory in place of the file
+    for target in (tmp_path / "missing" / "out", tmp_path):
+        code, out, err = run(capsys, *argv, str(target))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "wrote" not in out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rank_cap_error_exits_2(capsys):
     code, _, err = run(capsys, "wgraph", "abc", "--rank", "2")
     assert code == 2

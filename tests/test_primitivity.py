@@ -24,6 +24,7 @@ from freegroups.whitehead_graph import edge_matrix, whitehead_edges
 from freegroups.words import (
     Word,
     _cyclic_strip,
+    are_conjugate,
     commutator,
     format_word,
     iter_reduced_words,
@@ -275,6 +276,50 @@ def test_max_flow_matches_networkx():
                 assert side == reach, (core, a)
 
 
+def random_multigraph(rng, size):
+    """A symmetric sparse edge-count matrix on size vertices with loops
+    and parallel edges; a loop adds 2 to its diagonal entry, as in
+    edge_matrix."""
+    cap = [{} for _ in range(size)]
+    for u in range(size):
+        for v in range(u, size):
+            if rng.random() < 0.5:
+                count = rng.randint(1, 3)
+                cap[u][v] = cap[u].get(v, 0) + (2 * count if u == v else count)
+                if u != v:
+                    cap[v][u] = count
+    return cap
+
+
+def brute_force_min_cut(cap, s, t):
+    """(minimum cut, inclusion-least source side) over every vertex set
+    holding s and avoiding t; minimum cuts are closed under intersection."""
+    others = [v for v in range(len(cap)) if v not in (s, t)]
+    best, least = math.inf, None
+    for mask in range(2 ** len(others)):
+        side = {s} | {v for i, v in enumerate(others) if mask >> i & 1}
+        cut = sum(c for u in side for v, c in cap[u].items() if v not in side)
+        if cut < best:
+            best, least = cut, side
+        elif cut == best:
+            least &= side
+    return best, least
+
+
+def test_max_flow_matches_brute_force():
+    rng = random.Random(48)
+    for trial in range(300):
+        cap = random_multigraph(rng, rng.randint(2, 8))
+        before = [dict(row) for row in cap]
+        s, t = rng.sample(range(len(cap)), 2)
+        cut, least = brute_force_min_cut(cap, s, t)
+        assert _max_flow(cap, s, t, math.inf) == (cut, least), (cap, s, t)
+        assert _max_flow(cap, s, t, cut + 1) == (cut, least)
+        for bound in range(cut + 1):
+            assert _max_flow(cap, s, t, bound) == (bound, None)
+        assert cap == before
+
+
 # --- frozen traces of both engines ---
 
 
@@ -353,6 +398,22 @@ def test_basis_pair_frozen():
 def test_basis_pair_rejects_higher_rank_letters():
     with pytest.raises(ValueError):
         is_basis_pair_f2(parse_word("ac"), parse_word("b"))
+
+
+def test_basis_pair_is_commutator_conjugacy_on_ball():
+    # the one pass test against the definition it stands for
+    ball = list(iter_reduced_words(2, 6))
+    targets = (commutator(Word([1]), Word([2])), commutator(Word([2]), Word([1])))
+    pairs = 0
+    for a in ball:
+        for b in ball:
+            if len(a) + len(b) > 6:
+                break
+            pairs += 1
+            c = commutator(a, b)
+            expected = any(are_conjugate(c, target) for target in targets)
+            assert is_basis_pair_f2(a, b) == expected, (a, b)
+    assert pairs == 11665
 
 
 def test_basis_pair_agrees_with_primitivity_of_first():

@@ -16,10 +16,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from freegroups.automorphisms import apply_aut, enumerate_kind1, enumerate_kind2
-from freegroups.primitivity import is_primitive
+from freegroups.primitivity import is_basis_pair_f2, is_primitive
 from freegroups.stallings import build_subgroup_graph
 from freegroups.whitehead_graph import build_whitehead_graph
-from freegroups.words import Word, are_conjugate, format_word, parse_word
+from freegroups.words import Word, are_conjugate, commutator, format_word, parse_word
 
 
 @st.composite
@@ -123,3 +123,22 @@ def test_inversion_and_permutations_keep_separability(case):
     assert separable(~w, rank) == separable(w, rank)
     assert separable(apply_aut(perm, w), rank) == separable(w, rank)
     assert is_primitive(~w, rank) == is_primitive(w, rank)
+
+
+F2_AUTS = enumerate_kind1(2) + enumerate_kind2(2)
+F2_COMMUTATORS = (commutator(Word([1]), Word([2])), commutator(Word([2]), Word([1])))
+
+
+@given(st.lists(st.sampled_from(F2_AUTS), max_size=6), words(2, 6), st.data())
+def test_basis_pair_test_is_commutator_conjugacy(auts, w, data):
+    # the image of (e1, e2) under automorphisms is a basis; multiplying one
+    # coordinate by w mostly breaks that, so both answers occur
+    a, b = Word([1]), Word([2])
+    for aut in auts:
+        a, b = apply_aut(aut, a), apply_aut(aut, b)
+    if data.draw(st.booleans()):
+        b = b * w
+    else:
+        assert is_basis_pair_f2(a, b)
+    c = commutator(a, b)
+    assert is_basis_pair_f2(a, b) == any(are_conjugate(c, k) for k in F2_COMMUTATORS)

@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import pickle
 import random
 
 import pytest
 
 from freegroups.stallings import SubgroupGraph, build_subgroup_graph
-from freegroups.words import Word, parse_word
+from freegroups.words import Word, iter_reduced_words, parse_word
 
 
 FOLD_CORPUS_SHA256 = "c48e929f1e068dab12c15afed1a2accd72a61668e9f0f9476ff88f713deb165a"
@@ -57,6 +58,9 @@ def test_full_rose():
     assert g.generates_whole_group()
     assert g.num_vertices == 1
     assert g.edges == ((0, 1, 0), (0, 2, 0))
+    assert SubgroupGraph(2, 1, [(0, 2, 0), (0, 1, 0)]) == g
+    # one vertex with rank loops is the rose only when the labels are 1..rank
+    assert not SubgroupGraph(2, 1, [(0, 1, 0), (0, 1, 0)]).generates_whole_group()
 
 
 def test_folding_collapses_to_rose():
@@ -227,6 +231,10 @@ def test_rejects_bad_input():
         SubgroupGraph(2, 1, [(0, 3, 0)])
     with pytest.raises(ValueError):
         SubgroupGraph(2, 1, [(0, 1, 5)])
+    with pytest.raises(ValueError):
+        SubgroupGraph(2, 0, [])
+    with pytest.raises(ValueError):
+        SubgroupGraph(0, 1, [])
 
 
 def test_empty_generators_skipped():
@@ -281,6 +289,57 @@ def test_fold_corpus_frozen():
             digest.update(repr(record).encode())
     # frozen before the union-find fold replaced the re-sorting one
     assert digest.hexdigest() == FOLD_CORPUS_SHA256
+
+
+def graph_answers(g, queries):
+    return g.to_json_dict(), g.to_dot(), hash(g), [g.contains(q) for q in queries]
+
+
+def test_numbering_independent_of_first_read():
+    # the numbering is made on the first read of edges; reading the counts
+    # or the rose test first must not change any later answer
+    reads = (
+        lambda g: g.generates_whole_group(),
+        lambda g: g.num_vertices,
+        lambda g: g.num_edges,
+    )
+    for rank, gens, queries, default, _ in fold_corpus():
+        default.edges  # the first read numbers it
+        reference = graph_answers(default, queries)
+        for read in reads:
+            g = build_subgroup_graph(gens, rank)
+            read(g)
+            assert graph_answers(g, queries) == reference, gens
+            assert g == default
+
+
+def test_pickle_round_trip():
+    for rank, gens, queries, g, _ in fold_corpus():
+        loaded = pickle.loads(pickle.dumps(g))
+        assert loaded == g
+        assert graph_answers(loaded, queries) == graph_answers(g, queries)
+
+
+def test_rose_test_numbers_only_candidate_roses():
+    for rank, gens, _, g, _ in fold_corpus():
+        g.generates_whole_group()
+        numbered = g._edges is not None
+        assert numbered == (g.num_vertices == 1 and g.num_edges == rank), gens
+
+
+def test_rose_test_matches_edges_on_nielsen_ball():
+    ball = list(iter_reduced_words(2, 6))
+    for a in ball:
+        for b in ball:
+            if len(a) + len(b) > 6:
+                break
+            lazy = build_subgroup_graph([a, b], 2)
+            whole = lazy.generates_whole_group()
+            edges = build_subgroup_graph([a, b], 2).edges
+            vertices = {0} | {u for u, _, _ in edges} | {v for _, _, v in edges}
+            assert (lazy.num_vertices, lazy.num_edges) == (len(vertices), len(edges))
+            labels = sorted(label for _, label, _ in edges)
+            assert whole == (vertices == {0} and labels == [1, 2]), (a, b)
 
 
 def test_no_hair_away_from_basepoint():
