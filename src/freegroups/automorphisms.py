@@ -23,12 +23,11 @@ last pair stepping fastest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations, product
 
 from .words import Word, check_rank, letter_key, letter_name, letter_order
 
-RANK_CAP = 8  # enumerate_kind2 refuses anything bigger by default
+RANK_CAP = 8  # enumerate_kind2 refuses anything bigger
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,7 @@ def enumerate_kind1(rank: int) -> list[PermutationAut]:
     return out
 
 
-def enumerate_kind2(rank: int, cap: int = RANK_CAP) -> list[MultiplierAut]:
+def enumerate_kind2(rank: int) -> list[MultiplierAut]:
     """All kind 2 descriptors for the given rank, 2n * 4^(n-1) of them.
 
     Order: multiplier a runs over letter_order(rank); for each, the other
@@ -157,8 +156,8 @@ def enumerate_kind2(rank: int, cap: int = RANK_CAP) -> list[MultiplierAut]:
     4^n, hence the rank cap.
     """
     check_rank((), rank)
-    if rank > cap:
-        raise ValueError(f"rank {rank} exceeds the enumeration cap {cap}")
+    if rank > RANK_CAP:
+        raise ValueError(f"rank {rank} exceeds the enumeration cap {RANK_CAP}")
     out = []
     for a in letter_order(rank):
         others = [i for i in range(1, rank + 1) if i != abs(a)]
@@ -176,7 +175,3 @@ def enumerate_kind2(rank: int, cap: int = RANK_CAP) -> list[MultiplierAut]:
 def kind2_count(rank: int) -> int:
     return 2 * rank * 4 ** (rank - 1)
 
-
-@lru_cache(maxsize=None)
-def _kind2_cached(rank: int) -> tuple[MultiplierAut, ...]:
-    return tuple(enumerate_kind2(rank))

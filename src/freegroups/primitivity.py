@@ -11,22 +11,23 @@ change length and play no part in the descent.
 The length change of a kind 2 move (A, a) on a cyclically reduced word is
 read off the cyclic Whitehead graph: the number of edges crossing between
 A and its complement, cross(A), minus the degree of a.  Each descent step
-builds that graph once, as the edge-count matrix of edge_matrix, and both
-ways of picking a move read only the matrix.  Its vertices are all 2n
-letters when the move is picked in enumeration order, and otherwise only
-the letters of the generators that occur in the word, so the cost of a
-step does not grow with the rank.
+builds that graph once, as the edge-count matrix of edge_matrix over the
+letters of the generators that occur in the word, so the cost of a step
+does not grow with the rank.
 
 Every member set A for a contains a and avoids a^-1, so cross(A) is at
 least the minimum cut between a and a^-1, and the minimum over all the
 member sets is exactly that cut (Roig, Ventura and Weil, "On the
 complexity of the Whitehead minimization problem", IJAC 17, 2007).  One
 max-flow per multiplier, stopped once it reaches deg(a), therefore tells
-whether any set for a improves.  The two ways of picking the set are:
+whether any set for a improves, and every move is read off such capped
+max-flows.  Two frozen policies pick the set:
 
   * rank <= RANK_ENUM_LIMIT: the first improving set in kind 2
-    enumeration order, with cross values updated one added letter at a
-    time, which keeps the traces of the full scan;
+    enumeration order, which keeps the traces of the full scan.  Each
+    other generator pair in turn takes its first pattern that still has
+    an improving completion, tested by a max-flow with the fixed letters
+    tied to a or a^-1, at most 3(k - 1) more flows for k generators;
   * larger ranks: the source side of the minimum cut nearest a, read off
     the same max-flow, which is the same set for every maximum flow.
 
@@ -43,7 +44,6 @@ from .automorphisms import (
     MultiplierAut,
     _apply_k1_letters,
     _apply_k2_letters,
-    _kind2_cached,
     enumerate_kind1,
     enumerate_kind2,
 )
@@ -153,80 +153,74 @@ def _max_flow(cap: list[dict[int, int]], s: int, t: int, bound: float):
     return flow, None
 
 
-def _member_crosses(cap: list[dict[int, int]], deg: list[int], a: int):
-    """cross(A) for every member set A of the multiplier at vertex a, in
-    enumerate_kind2 order when cap spans every generator.  deg holds the
-    row sums of cap.  Adding vertex x to A changes cross by
-    deg(x) - 2 * (edges from x into A) - cap[x][x]."""
-    size = len(cap)
-    dense = [[0] * size for _ in cap]
-    for x, row in enumerate(cap):
-        for y, count in row.items():
-            dense[x][y] = count
-    pairs = [(x, x ^ 1) for x in range(0, size, 2) if a not in (x, x ^ 1)]
-    members = [a]
+def _enum_order_set(cap: list[dict[int, int]], a: int, d: int, side: set[int], cross: int):
+    """The first member set for vertex a in enumerate_kind2 order whose
+    cross is below its degree d, as (set, cross), given one such set side
+    with its cross.
 
-    def add(x: int, cross: int) -> int:
-        row = dense[x]
-        return cross + deg[x] - row[x] - 2 * sum(row[y] for y in members)
+    Each other generator pair is fixed in turn to the first pattern
+    (neither, x, x^-1, both) that still has an improving completion.  A
+    pattern is tested by a max-flow capped at d on a copy of cap in which
+    every fixed vertex is joined to a (a member) or to a^-1 (not a
+    member) by d parallel edges, so the flow stays below the cap
+    exactly when some set that keeps the fixed choices improves.  The
+    side of such a flow is the next witness, with the flow as its cross,
+    and the witness's own pattern fits without a flow.
+    """
+    ties: list[tuple[int, int]] = []
 
-    def walk(level: int, cross: int):
-        if level == len(pairs):
-            yield cross
-            return
-        x, x_inv = pairs[level]
-        with_x, with_inv = add(x, cross), add(x_inv, cross)
-        yield from walk(level + 1, cross)
-        members.append(x)
-        yield from walk(level + 1, with_x)
-        both = add(x_inv, with_x)
-        members[-1] = x_inv
-        yield from walk(level + 1, with_inv)
-        members.append(x)
-        yield from walk(level + 1, both)
-        del members[-2:]
+    def tie(v: int, member) -> tuple[int, int]:
+        return v, a if member else a ^ 1
 
-    return walk(0, deg[a] - dense[a][a])
+    for x in range(0, len(cap), 2):
+        if x == a:
+            continue
+        for p in range((x in side) + 2 * (x ^ 1 in side)):
+            trial = [dict(row) for row in cap]
+            for v, t in ties + [tie(x, p & 1), tie(x ^ 1, p & 2)]:
+                trial[v][t] = trial[v].get(t, 0) + d
+                trial[t][v] = trial[t].get(v, 0) + d
+            flow, found = _max_flow(trial, a, a ^ 1, d)
+            if flow < d:
+                side, cross = found, flow
+                break
+        ties += [tie(x, x in side), tie(x ^ 1, x ^ 1 in side)]
+    return side, cross
 
 
-def _find_move(core: tuple[int, ...], rank: int, use_cut: bool):
+def _find_move(core: tuple[int, ...], use_cut: bool):
     """First improving kind 2 move on a cyclic core as (automorphism,
-    length change), or None when no move shortens it."""
-    # A generator missing from the core has degree 0 and never lies on the
-    # cut's source side, so the cut engine leaves it out of the matrix.
-    # The enum engine keeps every generator, because it walks the member
-    # sets of enumerate_kind2.
-    gens = sorted({abs(x) for x in core}) if use_cut else range(1, rank + 1)
+    length change), or None when no move shortens it.  The move is the
+    source side of the minimum cut nearest the multiplier when use_cut
+    holds, and otherwise the first improving set in enumerate_kind2
+    order."""
+    # The matrix spans only the generators in the core.  A missing
+    # generator has degree 0, so it never lies on a cut's source side, and
+    # its first pattern, neither, always fits.
+    gens = sorted({abs(x) for x in core})
     names = vertex_letters(gens)
     cap = edge_matrix(whitehead_edges(core), gens)
-    deg = [sum(row.values()) for row in cap]
     # Vertices a and a^-1 have the same degree (every occurrence of a^{+-1}
     # meets both once) and the cut between them is symmetric, so a^-1 has
     # an improving set only when a, which comes first, already has one.
     for a in range(0, len(cap), 2):
-        d = deg[a]
-        if d == 0:
-            continue
+        d = sum(cap[a].values())
         cut, side = _max_flow(cap, a, a ^ 1, d)
         if cut == d:
             continue
-        if use_cut:
-            return MultiplierAut(names[a], frozenset(names[v] for v in side)), cut - d
-        for k, cross in enumerate(_member_crosses(cap, deg, a)):
-            if cross < d:
-                # the matrix spans 1..n, so vertex a is letter a of letter_order
-                return _kind2_cached(rank)[a * 4 ** (rank - 1) + k], cross - d
-        raise RuntimeError(f"min cut {cut} < {d} but no member set improves")
+        if not use_cut:
+            side, cut = _enum_order_set(cap, a, d, side, cut)
+        return MultiplierAut(names[a], frozenset(names[v] for v in side)), cut - d
     return None
 
 
-def _minimize_letters(letters: tuple[int, ...], rank: int, engine: str = "auto"):
+def _minimize_letters(letters: tuple[int, ...], rank: int):
     """Greedy descent on the cyclic core.  Returns (terminal core, steps)."""
     core = _cyclic_strip(letters)[0]
     steps: list[tuple[MultiplierAut, int]] = []
-    use_cut = engine == "cut" or (engine == "auto" and rank > RANK_ENUM_LIMIT)
+    use_cut = rank > RANK_ENUM_LIMIT
     while len(core) > 1:
-        found = _find_move(core, rank, use_cut)
+        found = _find_move(core, use_cut)
         if found is None:
             break
         aut, gain = found

@@ -445,8 +445,8 @@ def primitive_density(rank: int, max_len: int):
     Returns rows (length, primitives, total, ratio) for lengths 1 through
     max_len.
     """
-    if not 1 <= rank <= 3:
-        raise ValueError(f"rank must be in 1..3, got {rank}")
+    if not 1 <= rank <= _VerdictCache.RANK_CAP:
+        raise ValueError(f"rank must be in 1..{_VerdictCache.RANK_CAP}, got {rank}")
     if not 1 <= max_len <= 8:
         raise ValueError(f"max_len must be in 1..8, got {max_len}")
     verdicts = _VerdictCache(rank)

@@ -162,8 +162,6 @@ def test_enumeration_order_is_documented_counter():
 def test_enumeration_respects_cap():
     with pytest.raises(ValueError):
         enumerate_kind2(9)
-    with pytest.raises(ValueError):
-        enumerate_kind2(4, cap=3)
 
 
 def test_kind1_count():

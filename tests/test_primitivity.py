@@ -1,6 +1,7 @@
 """Tests for whitehead_minimize, is_primitive, the rank 2 basis pair
 criterion, and the automorphism orbit oracle they are checked against."""
 
+import functools
 import hashlib
 import json
 import math
@@ -13,14 +14,13 @@ from freegroups.primitivity import (
     MinimizationTrace,
     _find_move,
     _max_flow,
-    _member_crosses,
     _minimize_letters,
     is_basis_pair_f2,
     is_primitive,
     primitive_orbit_oracle,
     whitehead_minimize,
 )
-from freegroups.whitehead_graph import edge_matrix, whitehead_edges
+from freegroups.whitehead_graph import edge_matrix, vertex_letters, whitehead_edges
 from freegroups.words import (
     Word,
     _cyclic_strip,
@@ -132,7 +132,7 @@ def test_primitive_rank_matters():
 
 
 def test_high_rank_verdicts():
-    # the cut engine's matrix spans only the generators in the word, so a
+    # the move finder's matrix spans only the generators in the word, so a
     # large declared rank costs nothing and changes no trace
     rng = random.Random(48)
     gens = (3, 70, 150, 256)
@@ -181,45 +181,96 @@ def random_cores(rng, rank, count, max_len):
     return cores
 
 
+def gain_by_pairs(core, aut):
+    return cross_by_pairs(core, aut.members) - degree_by_pairs(core, aut.multiplier)
+
+
+@functools.cache
+def kind2(rank):
+    return enumerate_kind2(rank)
+
+
+def first_move_by_scan(core, rank):
+    # the plain scan over enumerate_kind2 that the enumeration-order policy
+    # must reproduce, scoring each set on the edge list
+    edges = whitehead_edges(core)
+    for aut in kind2(rank):
+        members, a = aut.members, aut.multiplier
+        gain = sum(((x in members) != (y in members)) - (x == a) - (y == a) for x, y in edges)
+        if gain < 0:
+            return aut, gain
+    return None
+
+
 def test_predicted_length_matches_actual():
+    # every kind 2 move changes the cyclic length by its cross minus the
+    # degree of its multiplier, and that is the gain either policy reports
     rng = random.Random(42)
-    kind2 = enumerate_kind2(3)
     for core in random_cores(rng, 3, 60, 10):
-        cap = edge_matrix(whitehead_edges(core), range(1, 4))
-        deg = [sum(row.values()) for row in cap]
-        for a in range(6):
-            crosses = list(_member_crosses(cap, deg, a))
-            auts = kind2[16 * a : 16 * (a + 1)]
-            assert len(crosses) == len(auts) == 16
-            for aut, cross in zip(auts, crosses):
-                assert cross == cross_by_pairs(core, aut.members), (core, aut)
-                predicted = len(core) + cross - deg[a]
-                actual = len(
-                    _cyclic_strip(_apply_k2_letters(aut.multiplier, aut.members, core))[0]
-                )
-                assert predicted == actual, (core, aut)
-    # a word that is not cyclically reduced has a loop at its wrap-around
-    for _ in range(40):
-        w = random_reduced(rng, 3, rng.randrange(2, 10)).letters
-        cap = edge_matrix(whitehead_edges(w), range(1, 4))
-        deg = [sum(row.values()) for row in cap]
-        for a in range(6):
-            auts = kind2[16 * a : 16 * (a + 1)]
-            expected = [cross_by_pairs(w, t.members) for t in auts]
-            assert list(_member_crosses(cap, deg, a)) == expected, w
+        for aut in kind2(3):
+            actual = len(_cyclic_strip(_apply_k2_letters(aut.multiplier, aut.members, core))[0])
+            assert len(core) + gain_by_pairs(core, aut) == actual, (core, aut)
+        for use_cut in (False, True):
+            found = _find_move(core, use_cut)
+            if found is None:
+                assert first_move_by_scan(core, 3) is None, core
+            else:
+                assert found[1] == gain_by_pairs(core, found[0]) < 0, (core, found)
+    # a word that is not cyclically reduced has a loop at its wrap-around,
+    # which adds 2 to the degree of its vertex and never crosses
+    looped = 0
+    while looped < 40:
+        w = random_reduced(rng, 3, rng.randrange(3, 10)).letters
+        if w[0] != -w[-1]:
+            continue
+        looped += 1
+        assert _find_move(w, False) == first_move_by_scan(w, 3), w
+        found = _find_move(w, True)
+        assert found is None or found[1] == gain_by_pairs(w, found[0]) < 0, w
 
 
 def test_enum_finder_matches_plain_scan():
     rng = random.Random(44)
-    for rank in (2, 3, 4, 5):
+    for rank in (2, 3, 4, 5, 6):
         for core in random_cores(rng, rank, 40, 16):
-            expected = None
-            for aut in enumerate_kind2(rank):
-                gain = cross_by_pairs(core, aut.members) - degree_by_pairs(core, aut.multiplier)
-                if gain < 0:
-                    expected = (aut, gain)
-                    break
-            assert _find_move(core, rank, use_cut=False) == expected, core
+            assert _find_move(core, use_cut=False) == first_move_by_scan(core, rank), core
+
+
+def min_cut_side(core, multiplier):
+    # the letters on the source side of the minimum cut nearest the
+    # multiplier, which seeds the enumeration-order search
+    gens = sorted({abs(x) for x in core})
+    names = vertex_letters(gens)
+    cap = edge_matrix(whitehead_edges(core), gens)
+    a = names.index(multiplier)
+    _, side = _max_flow(cap, a, a ^ 1, math.inf)
+    return {names[v] for v in side}
+
+
+def test_enum_finder_fixed_cases():
+    # e1^-1 e2^-1 e3^-1 e3^-1: with e2 fixed to e2^-1, neither, e3 nor
+    # e3^-1 alone completes an improving set for e1, only both do
+    core = (-1, -2, -3, -3)
+    aut, gain = _find_move(core, use_cut=False)
+    assert (aut, gain) == first_move_by_scan(core, 3)
+    assert aut == MultiplierAut(1, frozenset({1, -2, 3, -3})) and gain == -1
+    # the minimum cut side for e2 holds both e3 and e3^-1, but the first
+    # pattern of e3 that still improves is e3^-1 alone
+    core = (-3, -3, -2, -3, -2, -1, 2)
+    aut, gain = _find_move(core, use_cut=False)
+    assert (aut, gain) == first_move_by_scan(core, 3)
+    assert aut == MultiplierAut(2, frozenset({2, -3})) and gain == -1
+    assert min_cut_side(core, 2) == {2, 3, -3}
+    # a rank 4 word on e1 and e3 only: the missing e2 and e4 take the
+    # pattern neither, and the moves match ababa's in rank 2
+    core = (1, 3, 1, 3, 1)
+    assert _find_move(core, use_cut=False) == first_move_by_scan(core, 4)
+    tr = whitehead_minimize(Word(core), 4)
+    rank2 = whitehead_minimize(parse_word("ababa"), 2)
+    relabel = {1: 1, -1: -1, 3: 2, -3: -2}
+    assert [
+        (relabel[aut.multiplier], {relabel[x] for x in aut.members}, n) for aut, n in tr.steps
+    ] == [(aut.multiplier, set(aut.members), n) for aut, n in rank2.steps]
 
 
 def test_min_cut_equals_min_cross_over_member_sets():
@@ -320,31 +371,37 @@ def test_max_flow_matches_brute_force():
         assert cap == before
 
 
-# --- frozen traces of both engines ---
+# --- frozen traces of both selection policies ---
+
+
+def generator_image(rng, rank, length):
+    # the image of a random generator under random kind 2 moves, at least
+    # length letters long: primitive, with a long descent
+    pool = [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)]
+    w = Word([rng.choice(pool)])
+    while len(w) < length:
+        a = rng.choice(pool)
+        members = {a} | {x for x in pool if abs(x) != abs(a) and rng.random() < 0.5}
+        w = MultiplierAut(a, frozenset(members)).apply(w)
+    return w
 
 
 def trace_corpus():
-    # per rank 2..8: six random words, and four images of a generator under
-    # random kind 2 moves, which are primitive and take long descents
+    # per rank 2..8: six random words, and four generator images
     rng = random.Random(2007)
     out = []
     for rank in range(2, 9):
-        pool = [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)]
         for _ in range(6):
             out.append((random_reduced(rng, rank, rng.randrange(1, 41)), rank))
         for _ in range(4):
-            w = Word([rng.choice(pool)])
-            while len(w) < 30:
-                a = rng.choice(pool)
-                members = {a} | {x for x in pool if abs(x) != abs(a) and rng.random() < 0.5}
-                w = MultiplierAut(a, frozenset(members)).apply(w)
-            out.append((w, rank))
+            out.append((generator_image(rng, rank, 30), rank))
     return out
 
 
 def test_trace_corpus_frozen():
     # sha256 frozen before the move finders moved onto the edge-count
-    # matrix; ranks 2..5 pin the enum engine, 6..8 the cut engine
+    # matrix; ranks 2..5 pin the enumeration-order policy, 6..8 the
+    # minimum cut side
     corpus = trace_corpus()
     assert len(corpus) == 70 and sum(len(w) for w, _ in corpus) == 1867
     dump = json.dumps(
@@ -356,17 +413,27 @@ def test_trace_corpus_frozen():
     )
 
 
-# --- the two engines agree ---
+# --- the two selection policies agree ---
+
+
+def descend(core, use_cut):
+    while len(core) > 1:
+        found = _find_move(core, use_cut)
+        if found is None:
+            break
+        aut, _ = found
+        core = _cyclic_strip(_apply_k2_letters(aut.multiplier, aut.members, core))[0]
+    return core
 
 
 def test_engines_reach_same_terminal_length():
     rng = random.Random(43)
-    for rank in (2, 3):
-        for _ in range(120):
-            w = random_reduced(rng, rank, rng.randrange(0, 11))
-            core_enum, _ = _minimize_letters(w.letters, rank, engine="enum")
-            core_cut, _ = _minimize_letters(w.letters, rank, engine="cut")
-            assert len(core_enum) == len(core_cut), w
+    for rank in (2, 3, 6):
+        words = [random_reduced(rng, rank, rng.randrange(0, 11)) for _ in range(120)]
+        words += [generator_image(rng, rank, 20) for _ in range(10)]
+        for w in words:
+            core = _cyclic_strip(w.letters)[0]
+            assert len(descend(core, False)) == len(descend(core, True)), w
 
 
 def test_cut_engine_used_at_high_rank():
@@ -477,7 +544,7 @@ def test_minimizer_matches_oracle_rank3_short():
 
 def test_power_block_words_not_primitive():
     # e2^3 ... e_{n+1}^3 e_{n+2}^2 stays non-primitive as the rank grows;
-    # rank 6 exercises the min-cut engine
+    # rank 6 exercises the minimum cut side policy
     for n in range(1, 5):
         letters = []
         for i in range(2, n + 2):
