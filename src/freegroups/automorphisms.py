@@ -133,8 +133,8 @@ def apply_aut(aut, w: Word) -> Word:
         raise ValueError(f"invalid automorphism descriptor: {aut!r}")
     if isinstance(aut, PermutationAut):
         check_rank(w.letters, len(aut.images))
-        return Word._wrap(_apply_k1_letters(aut.images, w.letters), w.rank_hint)
-    return Word._wrap(_apply_k2_letters(aut.multiplier, aut.members, w.letters), w.rank_hint)
+        return Word._wrap(_apply_k1_letters(aut.images, w.letters))
+    return Word._wrap(_apply_k2_letters(aut.multiplier, aut.members, w.letters))
 
 
 def enumerate_kind1(rank: int) -> list[PermutationAut]:

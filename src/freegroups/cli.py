@@ -148,7 +148,7 @@ def _cmd_primitive(args) -> int:
         for aut, new_len in trace.steps:
             print(f"{length} -> {new_len}  {aut}")
             length = new_len
-        print(f"terminal cyclic word: {format_word(trace.final.word)}")
+        print(f"terminal cyclic word: {format_word(trace.final.word, args.rank)}")
         primitive = len(trace.final) == 1  # the empty word ends at length 0
     else:
         primitive = is_primitive(w, args.rank)

@@ -246,9 +246,7 @@ def whitehead_minimize(w: Word, rank: int) -> MinimizationTrace:
     """
     check_rank(w.letters, rank)
     core, steps = _minimize_letters(w.letters, rank)
-    return MinimizationTrace(
-        start=w, steps=steps, final=CyclicWord(Word._wrap(core, rank))
-    )
+    return MinimizationTrace(start=w, steps=steps, final=CyclicWord(Word._wrap(core)))
 
 
 def is_primitive(w: Word, rank: int) -> bool:

@@ -25,10 +25,9 @@ labeled based graph.
 Reduced words in the subgroup correspond one to one with reduced closed
 walks at the basepoint, which is what contains() checks.  The subgroup's
 rank is edges - vertices + 1, and the subgroup is everything exactly when
-the graph is the rose: one vertex carrying one loop per generator.  The
-rose test reads the counts first, so a graph of more than one vertex,
-which is most of them in a sweep over generator pairs, is never numbered;
-only a one vertex graph with rank edges reads its labels.
+the graph is the rose: one vertex carrying one loop per generator.  Every
+graph is folded, so a one vertex graph carries each label at most once,
+and the rose test reads the counts alone: it never numbers a graph.
 """
 
 from __future__ import annotations
@@ -46,7 +45,9 @@ class SubgroupGraph:
     Instances come from build_subgroup_graph, which hands over the folded
     label tables and the counts; the canonical numbering is made on the
     first read of edges and the tables are dropped then.  The public
-    constructor takes a numbering as given and checks its shape.
+    constructor takes a numbering as given and checks its shape: it must
+    be folded, with no two edges of one label leaving, or entering, one
+    vertex.
     """
 
     __slots__ = ("rank", "num_vertices", "num_edges", "_edges", "_folded", "_trans")
@@ -56,11 +57,19 @@ class SubgroupGraph:
         if num_vertices < 1:
             raise ValueError("need at least the basepoint vertex")
         edges = tuple(sorted(edges))
+        seen = set()
         for u, label, v in edges:
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise ValueError(f"edge ({u}, {label}, {v}) off the vertex range")
             if not 1 <= label <= rank:
                 raise ValueError(f"edge label {label} outside 1..{rank}")
+            for end in ((u, label), (v, -label)):
+                if end in seen:
+                    raise ValueError(
+                        f"vertex {end[0]} has two edges labeled "
+                        f"{letter_name(end[1])}: the graph is not folded"
+                    )
+                seen.add(end)
         self.rank = rank
         self.num_vertices = num_vertices
         self.num_edges = len(edges)
@@ -94,11 +103,8 @@ class SubgroupGraph:
         return self.num_edges - self.num_vertices + 1
 
     def generates_whole_group(self) -> bool:
-        # the counts first: a graph of more than one vertex is never
-        # numbered here, and the rank may be far larger than the graph
-        return self.num_vertices == 1 and self.num_edges == self.rank and sorted(
-            label for _, label, _ in self.edges
-        ) == list(range(1, self.rank + 1))
+        # folded, so one vertex carries each of the rank labels at most once
+        return self.num_vertices == 1 and self.num_edges == self.rank
 
     def _transitions(self) -> dict:
         if self._trans is None:

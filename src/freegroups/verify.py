@@ -267,7 +267,7 @@ def _prop24(rank: int, max_len: int):
         primitives += 1
         if key in separable_by_core:
             continue
-        core_word = Word._wrap(core, rank)
+        core_word = Word._wrap(core)
         separable = separable_by_class.get(cls)
         if separable is None:
             separable = build_whitehead_graph(core_word, rank).find_cut_vertex().separable

@@ -143,9 +143,9 @@ class WhiteheadGraph:
             separable=(not connected) or cut is not None,
         )
 
-    def to_dot(self, name: str = "whitehead") -> str:
+    def to_dot(self) -> str:
         """DOT text; multigraph, loops and parallel edges one line each."""
-        lines = [f"graph {name} {{"]
+        lines = ["graph whitehead {"]
         for v in self.vertices:
             lines.append(f'  "{letter_name(v)}";')
         for x, y in self.edges:

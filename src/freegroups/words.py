@@ -15,8 +15,11 @@ Two text forms are accepted wherever a word can be typed in:
     form B: whitespace separated signed decimal indices, "1 2 2 -1",
             usable at any rank
 
-``format_word`` emits form A while every index fits into the alphabet and
-form B otherwise, and ``parse_word(format_word(w)) == w`` always holds.
+A word holds only its letters: the rank belongs to the question asked of
+it, and the functions that need one take it as an argument.
+``format_word(w, rank)`` emits form A when every index, and the rank if
+one is given, fits into the alphabet, and form B otherwise; either way
+``parse_word(format_word(w, rank)) == w`` holds.
 """
 
 from __future__ import annotations
@@ -84,8 +87,8 @@ class Word:
     """A freely reduced word.
 
     The letter sequence is reduced on construction and kept immutable.
-    ``rank_hint`` is advisory metadata: when present, every index must fit
-    under it, but no operation requires it.
+    A word carries no rank; ``check_rank`` and ``parse_word(text, rank)``
+    check its indices against one.
 
     >>> Word([1, 2, -2, 3]).letters
     (1, 3)
@@ -93,30 +96,20 @@ class Word:
     'ab^2A'
     """
 
-    __slots__ = ("letters", "rank_hint")
+    __slots__ = ("letters",)
 
-    def __init__(self, letters: Iterable[int] = (), rank_hint: int | None = None):
+    def __init__(self, letters: Iterable[int] = ()):
         lets = tuple(letters)
         for x in lets:
             if not isinstance(x, int) or isinstance(x, bool) or x == 0:
                 raise ValueError(f"letters must be nonzero integers, got {x!r}")
-        if rank_hint is not None:
-            if rank_hint < 1:
-                raise ValueError(f"rank_hint must be positive, got {rank_hint}")
-            for x in lets:
-                if abs(x) > rank_hint:
-                    raise ValueError(
-                        f"letter {letter_name(x)} exceeds rank_hint {rank_hint}"
-                    )
         self.letters = _reduce_tuple(lets)
-        self.rank_hint = rank_hint
 
     @classmethod
-    def _wrap(cls, letters: tuple[int, ...], rank_hint: int | None = None) -> "Word":
+    def _wrap(cls, letters: tuple[int, ...]) -> "Word":
         # trusted constructor for sequences already known to be reduced
         w = object.__new__(cls)
         w.letters = letters
-        w.rank_hint = rank_hint
         return w
 
     @property
@@ -128,20 +121,19 @@ class Word:
         return len(self.letters) < 2 or self.letters[0] != -self.letters[-1]
 
     def inverse(self) -> "Word":
-        return Word._wrap(tuple(-x for x in reversed(self.letters)), self.rank_hint)
+        return Word._wrap(tuple(-x for x in reversed(self.letters)))
 
     def conjugate_by(self, g: "Word") -> "Word":
         """g * self * g^-1."""
         return g * self * g.inverse()
 
     def cyclic_core(self) -> "Word":
-        return Word._wrap(_cyclic_strip(self.letters)[0], self.rank_hint)
+        return Word._wrap(_cyclic_strip(self.letters)[0])
 
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        hint = _merge_hints(self.rank_hint, other.rank_hint)
-        return Word._wrap(_reduce_tuple(self.letters + other.letters), hint)
+        return Word._wrap(_reduce_tuple(self.letters + other.letters))
 
     def __invert__(self) -> "Word":
         return self.inverse()
@@ -150,7 +142,7 @@ class Word:
         if not isinstance(k, int):
             return NotImplemented
         base = self.letters if k >= 0 else self.inverse().letters
-        return Word._wrap(_reduce_tuple(base * abs(k)), self.rank_hint)
+        return Word._wrap(_reduce_tuple(base * abs(k)))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -163,11 +155,10 @@ class Word:
 
     def __getitem__(self, idx):
         if isinstance(idx, slice):
-            return Word._wrap(self.letters[idx], self.rank_hint)
+            return Word._wrap(self.letters[idx])
         return self.letters[idx]
 
     def __eq__(self, other) -> bool:
-        # rank_hint is advisory and excluded from equality
         return isinstance(other, Word) and self.letters == other.letters
 
     def __hash__(self) -> int:
@@ -178,14 +169,6 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r})"
-
-
-def _merge_hints(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
 
 
 def word_sort_key(w: Word) -> tuple:
@@ -212,9 +195,7 @@ class CyclicWord:
 
     def canonical(self) -> Word:
         if self._canon is None:
-            self._canon = Word._wrap(
-                canonical_rotation(self.word.letters), self.word.rank_hint
-            )
+            self._canon = Word._wrap(canonical_rotation(self.word.letters))
         return self._canon
 
     def rotations(self) -> Iterator[Word]:
@@ -223,7 +204,7 @@ class CyclicWord:
             yield self.word
             return
         for i in range(len(lets)):
-            yield Word._wrap(lets[i:] + lets[:i], self.word.rank_hint)
+            yield Word._wrap(lets[i:] + lets[:i])
 
     def __len__(self) -> int:
         return len(self.word.letters)
@@ -294,10 +275,7 @@ def cyclically_reduce(u: Word) -> tuple[CyclicWord, Word]:
     ((2, 2), (1,))
     """
     core, prefix = _cyclic_strip(u.letters)
-    return (
-        CyclicWord(Word._wrap(core, u.rank_hint)),
-        Word._wrap(prefix, u.rank_hint),
-    )
+    return CyclicWord(Word._wrap(core)), Word._wrap(prefix)
 
 
 def are_conjugate(u: Word, v: Word) -> bool:
@@ -324,7 +302,7 @@ def parse_word(text: str, rank: int | None = None) -> Word:
         letters = []
     else:
         letters = _parse_form_b(text, rank)
-    return Word(letters, rank_hint=rank)
+    return Word(letters)
 
 
 def _parse_form_a(text: str, rank: int | None) -> list[int]:
@@ -390,15 +368,13 @@ def _parse_form_b(text: str, rank: int | None) -> list[int]:
 
 
 def format_word(w: Word, rank: int | None = None) -> str:
-    """Canonical text for a word: form A when the rank fits in 26 letters,
-    form B otherwise.  Runs of a letter are compressed with ^k in form A.
-    The empty word formats as the empty string.
+    """Canonical text for a word: form A when every index, and the rank if
+    one is given, fits in 26 letters, form B otherwise.  Runs of a letter
+    are compressed with ^k in form A.  The empty word formats as the empty
+    string.
     """
     letters = w.letters
-    r = rank
-    if r is None:
-        r = w.rank_hint if w.rank_hint is not None else w.max_index
-    if r <= 26:
+    if max(w.max_index, rank or 0) <= 26:
         parts = []
         for x, grp in groupby(letters):
             k = sum(1 for _ in grp)
@@ -420,7 +396,7 @@ def iter_reduced_words(
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     alphabet = letter_order(rank)
     if include_empty:
-        yield Word._wrap((), rank)
+        yield Word._wrap(())
     # follow[x]: the one-letter tails that may come after x, in letter order
     follow = {x: [(y,) for y in alphabet if y != -x] for x in alphabet}
     follow[0] = [(y,) for y in alphabet]
@@ -436,7 +412,6 @@ def iter_reduced_words(
                     # Word._wrap inlined: the call cost a quarter of the loop
                     w = new(Word)
                     w.letters = stem + tail
-                    w.rank_hint = rank
                     yield w
                 continue
             tail = next(untried, None)

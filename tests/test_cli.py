@@ -155,6 +155,19 @@ def test_primitive_trace(capsys):
     assert lines[4] == "primitive"
 
 
+def test_primitive_trace_above_alphabet(capsys):
+    # the rank, not the word, picks the text form of the terminal word
+    code, out, _ = run(capsys, "primitive", "1 2 1 2 1", "--rank", "30", "--trace")
+    assert code == 0
+    assert out == (
+        "5 -> 3  (e1; {e1, e2^-1})\n"
+        "3 -> 2  (e2; {e1^-1, e2})\n"
+        "2 -> 1  (e1; {e1, e2^-1})\n"
+        "terminal cyclic word: 2\n"
+        "primitive\n"
+    )
+
+
 def test_nielsen(capsys):
     code, out, _ = run(capsys, "nielsen", "a", "ba")
     assert (code, out) == (0, "basis pair\n")

@@ -88,6 +88,12 @@ def test_trace_json_shape():
     assert step["aut"]["members"] == [1, -2]
 
 
+def test_trace_json_form_follows_the_letters():
+    # the rank of the call does not travel with the words it returns
+    d = whitehead_minimize(Word([1, 2, 1, 2, 1]), 30).to_json_dict()
+    assert (d["start"], d["final"]) == ("ababa", "b")
+
+
 def test_step_lengths_strictly_decrease():
     rng = random.Random(40)
     for _ in range(200):

@@ -74,11 +74,16 @@ def test_fold_contains_products_of_generators(case, data):
     assert graph.contains(~product)
 
 
-@given(st.integers(1, 40).flatmap(lambda rank: st.tuples(st.just(rank), words(rank, 12))))
-def test_parse_format_round_trip(case):
+@given(
+    st.integers(1, 40).flatmap(lambda rank: st.tuples(st.just(rank), words(rank, 12))),
+    st.integers(1, 40),
+)
+def test_parse_format_round_trip(case, other_rank):
     rank, w = case
     assert parse_word(format_word(w)) == w
     assert parse_word(format_word(w, rank), rank) == w
+    # any rank, even one below the largest index, gives parseable text
+    assert parse_word(format_word(w, other_rank)) == w
 
 
 ranked_auts = st.integers(1, 3).flatmap(

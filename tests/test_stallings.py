@@ -59,8 +59,9 @@ def test_full_rose():
     assert g.num_vertices == 1
     assert g.edges == ((0, 1, 0), (0, 2, 0))
     assert SubgroupGraph(2, 1, [(0, 2, 0), (0, 1, 0)]) == g
-    # one vertex with rank loops is the rose only when the labels are 1..rank
-    assert not SubgroupGraph(2, 1, [(0, 1, 0), (0, 1, 0)]).generates_whole_group()
+    # two loops of one label are not folded, so they are no graph at all
+    with pytest.raises(ValueError):
+        SubgroupGraph(2, 1, [(0, 1, 0), (0, 1, 0)])
 
 
 def test_folding_collapses_to_rose():
@@ -237,6 +238,20 @@ def test_rejects_bad_input():
         SubgroupGraph(0, 1, [])
 
 
+def test_constructor_rejects_unfolded_edges():
+    # an unfolded edge set used to give wrong answers: the basepoint's a loop
+    # was missed by contains, and a doubled loop counted twice in the rank
+    with pytest.raises(ValueError):
+        SubgroupGraph(1, 2, [(0, 1, 1), (0, 1, 0)])  # two a edges leave 0
+    with pytest.raises(ValueError):
+        SubgroupGraph(2, 1, [(0, 1, 0), (0, 1, 0)])
+    with pytest.raises(ValueError):
+        SubgroupGraph(1, 2, [(0, 1, 1), (1, 1, 1)])  # two a edges enter 1
+    # a folded graph whose edges meet at one vertex with distinct labels
+    g = SubgroupGraph(2, 2, [(0, 1, 1), (1, 2, 0), (1, 1, 0)])
+    assert g == build_subgroup_graph(words("ab", "aa"), 2)
+
+
 def test_empty_generators_skipped():
     g = build_subgroup_graph([Word([]), parse_word("a")], 2)
     assert g.edges == ((0, 1, 0),)
@@ -321,10 +336,10 @@ def test_pickle_round_trip():
 
 
 def test_rose_test_numbers_only_candidate_roses():
+    # every graph is folded, so the counts alone decide and none is numbered
     for rank, gens, _, g, _ in fold_corpus():
         g.generates_whole_group()
-        numbered = g._edges is not None
-        assert numbered == (g.num_vertices == 1 and g.num_edges == rank), gens
+        assert g._edges is None, gens
 
 
 def test_rose_test_matches_edges_on_nielsen_ball():

@@ -123,14 +123,6 @@ def test_word_rejects_zero_and_nonints():
         Word([True])
 
 
-def test_rank_hint_validation():
-    assert Word([1, 2], rank_hint=2).rank_hint == 2
-    with pytest.raises(ValueError):
-        Word([1, 3], rank_hint=2)
-    with pytest.raises(ValueError):
-        Word([], rank_hint=0)
-
-
 # ------------------------------------------------------- multiply / invert
 
 def test_multiply_concatenates():
@@ -373,7 +365,18 @@ def test_format_form_b_above_alphabet():
     w = Word([27, -1])
     assert format_word(w) == "27 -1"
     # an explicit big rank forces form B even for small indices
-    assert format_word(Word([1, 2], rank_hint=30)) == "1 2"
+    assert format_word(Word([1, 2]), 30) == "1 2"
+    # a rank below the largest index cannot pull it into form A
+    assert format_word(Word([27, 1]), 2) == "27 1"
+    assert parse_word(format_word(Word([27, 1]), 2)) == Word([27, 1])
+
+
+def test_word_carries_only_its_letters():
+    assert Word.__slots__ == ("letters",)
+    # the form follows the indices unless a rank is passed
+    w = parse_word("1 2", 30)
+    assert format_word(w) == "ab"
+    assert format_word(w, 30) == "1 2"
 
 
 def test_format_parse_round_trip():
