@@ -90,9 +90,11 @@ class MinimizationTrace:
         }
 
 
-def _max_flow(cap: list[dict[int, int]], s: int, t: int, bound: float):
+def _max_flow(res: list[dict[int, int]], s: int, t: int, bound: float):
     """Maximum s-t flow in the multigraph of the symmetric sparse
-    edge-count matrix cap, one unit of capacity per edge.  The direct
+    edge-count matrix res, one unit of capacity per edge.  The flow is
+    pushed through res in place, which is left as the residual matrix, so
+    the caller passes a matrix it owns and no longer needs.  The direct
     edges s-t and the two-hop paths s-x-t are saturated first, and breadth
     first augmenting paths carry the rest.  Stops once the flow
     reaches bound, which may be math.inf.
@@ -102,7 +104,6 @@ def _max_flow(cap: list[dict[int, int]], s: int, t: int, bound: float):
     source side of the minimum cut nearest s, the same for every maximum
     flow.  At the bound, flow equals bound and side is None.
     """
-    res = [dict(row) for row in cap]
     out = res[s]
     flow = 0
     # The edges s-t and the paths s-x-t share no edge, so they are
@@ -205,7 +206,7 @@ def _find_move(core: tuple[int, ...], use_cut: bool):
     # an improving set only when a, which comes first, already has one.
     for a in range(0, len(cap), 2):
         d = sum(cap[a].values())
-        cut, side = _max_flow(cap, a, a ^ 1, d)
+        cut, side = _max_flow([dict(row) for row in cap], a, a ^ 1, d)
         if cut == d:
             continue
         if not use_cut:

@@ -45,9 +45,11 @@ class SubgroupGraph:
     Instances come from build_subgroup_graph, which hands over the folded
     label tables and the counts; the canonical numbering is made on the
     first read of edges and the tables are dropped then.  The public
-    constructor takes a numbering as given and checks its shape: it must
-    be folded, with no two edges of one label leaving, or entering, one
-    vertex.
+    constructor takes edges in any numbering with the basepoint at 0 and
+    checks their shape: the graph must be folded, with no two edges of one
+    label leaving, or entering, one vertex, and connected, with every
+    vertex reachable from the basepoint.  It then renumbers the edges
+    canonically, so it equals the folded graph of the same subgroup.
     """
 
     __slots__ = ("rank", "num_vertices", "num_edges", "_edges", "_folded", "_trans")
@@ -56,20 +58,26 @@ class SubgroupGraph:
         check_rank((), rank)
         if num_vertices < 1:
             raise ValueError("need at least the basepoint vertex")
-        edges = tuple(sorted(edges))
-        seen = set()
+        tables: list[dict] = [{} for _ in range(num_vertices)]
         for u, label, v in edges:
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise ValueError(f"edge ({u}, {label}, {v}) off the vertex range")
             if not 1 <= label <= rank:
                 raise ValueError(f"edge label {label} outside 1..{rank}")
-            for end in ((u, label), (v, -label)):
-                if end in seen:
+            for end, x, other in ((u, label, v), (v, -label, u)):
+                if x in tables[end]:
                     raise ValueError(
-                        f"vertex {end[0]} has two edges labeled "
-                        f"{letter_name(end[1])}: the graph is not folded"
+                        f"vertex {end} has two edges labeled "
+                        f"{letter_name(x)}: the graph is not folded"
                     )
-                seen.add(end)
+                tables[end][x] = other
+        edges = _renumber(tables, lambda v: v, 0)
+        reached = 1 + max((max(u, v) for u, _, v in edges), default=0)
+        if reached < num_vertices:
+            raise ValueError(
+                f"{num_vertices - reached} of {num_vertices} vertices cannot be "
+                "reached from the basepoint"
+            )
         self.rank = rank
         self.num_vertices = num_vertices
         self.num_edges = len(edges)

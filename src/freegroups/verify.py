@@ -19,16 +19,18 @@ import json
 import time
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 from typing import Callable, NamedTuple
 
 from .primitivity import (
+    _minimize_letters,
     _VerdictCache,
     is_basis_pair_f2,
     is_primitive,
     whitehead_minimize,
 )
 from .stallings import build_subgroup_graph
-from .whitehead_graph import build_whitehead_graph
+from .whitehead_graph import _separation, build_whitehead_graph, edge_matrix, whitehead_edges
 from .words import Word, _cyclic_strip, format_word, iter_reduced_words
 
 
@@ -188,8 +190,55 @@ def verify_fincov(rank: int, max_len: int) -> VerificationReport:
     return _CLAIMS["fincov"].run(rank=rank, max_len=max_len)
 
 
+def _exponent_sums(letters, rank: int) -> list[int]:
+    """The image of a word in Z^rank: the exponent sum of each generator."""
+    sums = [0] * rank
+    for x in letters:
+        if x > 0:
+            sums[x - 1] += 1
+        else:
+            sums[-x - 1] -= 1
+    return sums
+
+
+def _not_primitive(wij: Word, a: Word, sums: list[int], rank: int) -> bool:
+    """Whether the translate wij * a is not primitive, given its exponent
+    sums, decided by the first of three rungs that settles it:
+
+    1. the exponent sums have gcd other than 1, the zero vector included:
+       a primitive maps to a unimodular vector of Z^n (Lyndon and Schupp,
+       Combinatorial Group Theory, ch. I);
+    2. the Whitehead graph of the cyclic core is connected and has no cut
+       vertex, so the core is not primitive (Whitehead's cut-vertex lemma:
+       Whitehead 1936; Stallings 1999);
+    3. otherwise the minimizer's verdict.
+
+    Rung 2 needs rank >= 2: at rank 1 the graph of e1 is connected with
+    no cut vertex, yet e1 is primitive.  Only the fincov sweep uses this
+    ladder; is_primitive and prop24, which checks the cut-vertex lemma
+    itself, keep the minimizer alone.
+    """
+    if rank < 2:
+        raise ValueError(f"the non-primitivity ladder needs rank >= 2, got {rank}")
+    if gcd(*sums) != 1:
+        return True
+    core = _cyclic_strip((wij * a).letters)[0]
+    components, cuts = _separation(edge_matrix(whitehead_edges(core), range(1, rank + 1)))
+    if components == 1 and not cuts:
+        return True
+    return len(_minimize_letters(core, rank)[0]) != 1
+
+
 def _fincov(rank: int, max_len: int):
+    """The fincov sweep.  Each translate is settled by _not_primitive:
+    exponent sums first, then the cut vertex, then the minimizer.  The
+    exponent sums of w_ij a are those of w_ij plus those of a, so the
+    first rung forms no product."""
     fam = wij_family(rank)
+    translates = [
+        (key, fam.table[key], _exponent_sums(fam.table[key].letters, rank))
+        for key in sorted(fam.table)
+    ]
     counterexamples = []
     histogram: dict[int, int] = {}
     selected_failures = 0
@@ -197,10 +246,12 @@ def _fincov(rank: int, max_len: int):
     for a in iter_reduced_words(rank, max_len, include_empty=True):
         checked += 1
         selected = select_wij(a, fam)
+        a_sums = _exponent_sums(a.letters, rank)
         multiplicity = 0
         selected_covers = False
-        for key in sorted(fam.table):
-            if not is_primitive(fam.table[key] * a, rank):
+        for key, wij, wij_sums in translates:
+            sums = [p + q for p, q in zip(wij_sums, a_sums)]
+            if _not_primitive(wij, a, sums, rank):
                 multiplicity += 1
                 if key == selected:
                     selected_covers = True

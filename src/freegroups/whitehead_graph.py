@@ -15,9 +15,10 @@ verification harness.
 The graph is stored once, as the edge-count matrix of edge_matrix over the
 generators that occur; the minimizer reads the same matrix.  The letters of
 a missing generator are isolated, so the graph is then disconnected.  Cut
-vertices come from the usual low-link DFS over the matrix rows, with an
-explicit stack so that no rank reaches the recursion limit; loops never
-affect separation and are skipped there.  Only vertices and to_dot cost
+vertices come from the usual low-link DFS over the matrix rows,
+_separation, with an explicit stack so that no rank reaches the recursion
+limit; loops never affect separation and are skipped there.  The fincov
+sweep runs _separation on a bare matrix to certify non-primitivity.  Only vertices and to_dot cost
 more with the rank.
 """
 
@@ -83,59 +84,21 @@ class WhiteheadGraph:
             return 0
         return sum(self._matrix[self._names.index(v)].values())
 
-    def _separation(self) -> tuple[bool, list[int]]:
-        """(connected, cut vertices least first in letter order) from one
-        low-link DFS per component over the matrix rows."""
-        m = self._matrix
-        disc = [-1] * len(m)
-        low = [0] * len(m)
-        count = 0
-        cuts: set[int] = set()
-        components = 0
-        for root in range(len(m)):
-            if disc[root] >= 0:
-                continue
-            components += 1
-            disc[root] = low[root] = count
-            count += 1
-            root_children = 0
-            stack = [(root, -1, iter(m[root]))]
-            while stack:
-                v, parent, nbrs = stack[-1]
-                for u in nbrs:
-                    # a row holds each neighbour once, so skipping the parent
-                    # skips exactly the tree edge, whatever its multiplicity
-                    if u == v or u == parent:
-                        continue
-                    if disc[u] >= 0:
-                        low[v] = min(low[v], disc[u])
-                    else:
-                        disc[u] = low[u] = count
-                        count += 1
-                        stack.append((u, v, iter(m[u])))
-                        break
-                else:
-                    stack.pop()
-                    if parent == root:
-                        root_children += 1
-                    elif parent >= 0:
-                        low[parent] = min(low[parent], low[v])
-                        if low[v] >= disc[parent]:
-                            cuts.add(parent)
-            if root_children >= 2:
-                cuts.add(root)
-        connected = len(m) == 2 * self.rank and components == 1
-        return connected, [self._names[v] for v in sorted(cuts)]
+    def _verdict(self) -> tuple[bool, list[int]]:
+        """(connected, cut vertices least first in letter order)."""
+        components, cuts = _separation(self._matrix)
+        connected = len(self._matrix) == 2 * self.rank and components == 1
+        return connected, [self._names[v] for v in cuts]
 
     def is_connected(self) -> bool:
-        return self._separation()[0]
+        return self._verdict()[0]
 
     def articulation_points(self) -> list[int]:
         """Cut vertices, least first in letter order; loops never count."""
-        return self._separation()[1]
+        return self._verdict()[1]
 
     def find_cut_vertex(self) -> CutVertexVerdict:
-        connected, cuts = self._separation()
+        connected, cuts = self._verdict()
         cut = cuts[0] if cuts else None
         return CutVertexVerdict(
             connected=connected,
@@ -155,6 +118,51 @@ class WhiteheadGraph:
 
     def __repr__(self) -> str:
         return f"WhiteheadGraph(rank={self.rank}, edges={self.edge_count})"
+
+
+def _separation(m: list[dict[int, int]]) -> tuple[int, list[int]]:
+    """(number of components, cut vertices least first) of the multigraph
+    of an edge-count matrix such as edge_matrix gives, from one low-link
+    DFS per component over the matrix rows.  Loops never affect
+    separation and are skipped."""
+    disc = [-1] * len(m)
+    low = [0] * len(m)
+    count = 0
+    cuts: set[int] = set()
+    components = 0
+    for root in range(len(m)):
+        if disc[root] >= 0:
+            continue
+        components += 1
+        disc[root] = low[root] = count
+        count += 1
+        root_children = 0
+        stack = [(root, -1, iter(m[root]))]
+        while stack:
+            v, parent, nbrs = stack[-1]
+            for u in nbrs:
+                # a row holds each neighbour once, so skipping the parent
+                # skips exactly the tree edge, whatever its multiplicity
+                if u == v or u == parent:
+                    continue
+                if disc[u] >= 0:
+                    low[v] = min(low[v], disc[u])
+                else:
+                    disc[u] = low[u] = count
+                    count += 1
+                    stack.append((u, v, iter(m[u])))
+                    break
+            else:
+                stack.pop()
+                if parent == root:
+                    root_children += 1
+                elif parent >= 0:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] >= disc[parent]:
+                        cuts.add(parent)
+        if root_children >= 2:
+            cuts.add(root)
+    return components, sorted(cuts)
 
 
 def whitehead_edges(letters: tuple[int, ...]) -> list[tuple[int, int]]:

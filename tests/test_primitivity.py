@@ -242,6 +242,11 @@ def test_enum_finder_matches_plain_scan():
             assert _find_move(core, use_cut=False) == first_move_by_scan(core, rank), core
 
 
+def flow_on_copy(cap, s, t, bound):
+    # _max_flow pushes its flow through the matrix it is given
+    return _max_flow([dict(row) for row in cap], s, t, bound)
+
+
 def min_cut_side(core, multiplier):
     # the letters on the source side of the minimum cut nearest the
     # multiplier, which seeds the enumeration-order search
@@ -289,7 +294,7 @@ def test_min_cut_equals_min_cross_over_member_sets():
         for core in random_cores(rng, rank, 25, 14):
             rows = edge_matrix(whitehead_edges(core), range(1, rank + 1))
             for a in range(2 * rank):
-                cut, side = _max_flow(rows, a, a ^ 1, math.inf)
+                cut, side = flow_on_copy(rows, a, a ^ 1, math.inf)
                 auts = kind2[sets * a : sets * (a + 1)]
                 assert cut == min(cross_by_pairs(core, t.members) for t in auts)
                 assert a in side and a ^ 1 not in side
@@ -300,9 +305,9 @@ def test_capped_flow_stops_at_bound():
     for core in random_cores(rng, 3, 40, 14):
         rows = edge_matrix(whitehead_edges(core), range(1, 4))
         for a in range(6):
-            cut, _ = _max_flow(rows, a, a ^ 1, math.inf)
+            cut, _ = flow_on_copy(rows, a, a ^ 1, math.inf)
             for bound in range(cut + 2):
-                flow, side = _max_flow(rows, a, a ^ 1, bound)
+                flow, side = flow_on_copy(rows, a, a ^ 1, bound)
                 assert flow == min(cut, bound)
                 assert (side is None) == (cut >= bound)
 
@@ -320,7 +325,7 @@ def test_max_flow_matches_networkx():
                     if u < v:
                         g.add_edge(u, v, capacity=count)
             for a in range(0, 2 * rank, 2):
-                cut, side = _max_flow(cap, a, a + 1, math.inf)
+                cut, side = flow_on_copy(cap, a, a + 1, math.inf)
                 residual = nx.algorithms.flow.edmonds_karp(g, a, a + 1)
                 assert cut == residual.graph["flow_value"] == nx.minimum_cut_value(g, a, a + 1)
                 reach, stack = {a}, [a]
@@ -367,14 +372,15 @@ def test_max_flow_matches_brute_force():
     rng = random.Random(48)
     for trial in range(300):
         cap = random_multigraph(rng, rng.randint(2, 8))
-        before = [dict(row) for row in cap]
         s, t = rng.sample(range(len(cap)), 2)
         cut, least = brute_force_min_cut(cap, s, t)
-        assert _max_flow(cap, s, t, math.inf) == (cut, least), (cap, s, t)
-        assert _max_flow(cap, s, t, cut + 1) == (cut, least)
+        res = [dict(row) for row in cap]
+        assert _max_flow(res, s, t, math.inf) == (cut, least), (cap, s, t)
+        # the flow went through the given matrix, which holds the residual
+        assert (res != cap) == (cut > 0)
+        assert flow_on_copy(cap, s, t, cut + 1) == (cut, least)
         for bound in range(cut + 1):
-            assert _max_flow(cap, s, t, bound) == (bound, None)
-        assert cap == before
+            assert flow_on_copy(cap, s, t, bound) == (bound, None)
 
 
 # --- frozen traces of both selection policies ---

@@ -252,6 +252,22 @@ def test_constructor_rejects_unfolded_edges():
     assert g == build_subgroup_graph(words("ab", "aa"), 2)
 
 
+def test_constructor_needs_connected_edges():
+    # an isolated vertex 1 used to count in the rank: <a> reported rank 0
+    with pytest.raises(ValueError, match="cannot be reached from the basepoint"):
+        SubgroupGraph(1, 2, [(0, 1, 0)])
+    with pytest.raises(ValueError, match="cannot be reached"):
+        SubgroupGraph(2, 3, [(0, 1, 0), (1, 2, 2), (2, 2, 1)])
+
+
+def test_constructor_renumbers_canonically():
+    # the graph of <a^3> numbered otherwise used to compare unequal
+    g = SubgroupGraph(1, 3, [(0, 1, 2), (2, 1, 1), (1, 1, 0)])
+    assert g == build_subgroup_graph([Word([1, 1, 1])], 1)
+    assert g.edges == ((0, 1, 1), (1, 1, 2), (2, 1, 0))
+    assert g.contains(Word([1, 1, 1])) and not g.contains(Word([1]))
+
+
 def test_empty_generators_skipped():
     g = build_subgroup_graph([Word([]), parse_word("a")], 2)
     assert g.edges == ((0, 1, 0),)

@@ -2,16 +2,24 @@
 claim checker at small parameters, report serialization, and the grid."""
 
 import ast
+import hashlib
 import json
 import re
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import freegroups
 
+from freegroups import verify
+from freegroups.primitivity import is_primitive, primitive_orbit_oracle, whitehead_minimize
 from freegroups.verify import (
     _CLAIMS,
+    _exponent_sums,
+    _not_primitive,
     CLAIM_IDS,
     VerificationReport,
     WijFamily,
@@ -31,7 +39,7 @@ from freegroups.verify import (
     verify_section3,
     wij_family,
 )
-from freegroups.words import Word, parse_word
+from freegroups.words import Word, iter_reduced_words, parse_word
 
 
 # --- seed word and family ---
@@ -141,6 +149,89 @@ def test_npbig_implies_fincov():
     assert strong.passed
     assert cover.passed
     assert cover.stats["selected_pair_failures"] == 0
+
+
+# --- the fincov non-primitivity ladder ---
+
+
+@pytest.mark.parametrize("rank,max_len", [(2, 5), (3, 4)])
+def test_ladder_matches_minimizer_on_every_translate(rank, max_len, monkeypatch):
+    # every pair (i, j), not only the selected one, so translates that
+    # cancel at the junction or are not cyclically reduced are covered
+    minimize = verify._minimize_letters
+    minimized = []
+
+    def counting_minimize(letters, r):
+        minimized.append(letters)
+        return minimize(letters, r)
+
+    monkeypatch.setattr(verify, "_minimize_letters", counting_minimize)
+    fam = wij_family(rank)
+    translates = not_reduced = 0
+    for a in iter_reduced_words(rank, max_len, include_empty=True):
+        for wij in fam.table.values():
+            t = wij * a
+            counts = Counter(t.letters)
+            sums = [counts[g] - counts[-g] for g in range(1, rank + 1)]
+            assert sums == [
+                p + q
+                for p, q in zip(_exponent_sums(wij.letters, rank), _exponent_sums(a.letters, rank))
+            ]
+            assert _not_primitive(wij, a, sums, rank) == (not is_primitive(t, rank)), (wij, a)
+            translates += 1
+            not_reduced += not t.is_cyclically_reduced
+    assert translates == len(fam.table) * sum(1 for _ in iter_reduced_words(rank, max_len))
+    assert not_reduced > 0
+    # the certificates settle almost every translate, and the rest reach
+    # the minimizer
+    assert 0 < len(minimized) < translates // 100
+
+
+def test_ladder_refuses_rank_1():
+    # the graph of e1 in rank 1 is connected with no cut vertex, yet e1 is
+    # primitive, so the cut-vertex rung would be wrong there
+    with pytest.raises(ValueError, match="rank >= 2"):
+        _not_primitive(Word([1]), Word([]), [1], 1)
+
+
+def test_independent_routes_never_use_the_ladder(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("non-primitivity ladder used")
+
+    monkeypatch.setattr(verify, "_not_primitive", refuse)
+    assert is_primitive(Word([1, 2, 1, 2, 1]), 2)
+    assert not is_primitive(Word([1, 1, 2, 2]), 2)
+    assert [n for _, n in whitehead_minimize(Word([1, 2, 1, 2, 1]), 2).steps] == [3, 2, 1]
+    assert verify_prop24(2, 6).passed
+    assert verify_npbig(3, 2).passed
+    oracle = primitive_orbit_oracle(2, 6)
+    assert Word([1, 2, 1, 2, 1]) in oracle and Word([1, 1]) not in oracle
+    # the patch bites: the sweep that does use the ladder fails
+    with pytest.raises(RuntimeError, match="ladder used"):
+        verify_fincov(2, 1)
+
+
+# sha256 of fincov JSON beyond the grid, frozen before the ladder so that
+# it is checked to change no byte of the reports; the criterion 9 hashes
+# of verify all and section3 are in test_acceptance.py
+FINCOV_JSON_SHA256 = {
+    ("3", "4"): "44fa1ee4edbab45f0792ffa6ea40a316f26dbd6d682a62a2ec02e0460e774204",
+    ("2", "6"): "4a06a8a5fad2b11c56c7e4c96d43649ebe343835c4eba5d68d39f8208e67a0ca",
+}
+
+
+@pytest.mark.parametrize("rank,max_len", sorted(FINCOV_JSON_SHA256))
+def test_fincov_json_frozen(rank, max_len, tmp_path):
+    target = tmp_path / "fincov.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "freegroups", "verify", "fincov", "--rank", rank,
+         "--max-len", max_len, "--json", str(target)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == FINCOV_JSON_SHA256[rank, max_len]
 
 
 def test_fact1_small():
