@@ -20,6 +20,7 @@ from freegroups.primitivity import (
     primitive_orbit_oracle,
     whitehead_minimize,
 )
+from freegroups.verify import wij_family
 from freegroups.whitehead_graph import edge_matrix, vertex_letters, whitehead_edges
 from freegroups.words import (
     Word,
@@ -422,6 +423,29 @@ def test_trace_corpus_frozen():
     assert (
         hashlib.sha256(dump.encode()).hexdigest()
         == "b558ae9c08a0871513fcb4f4e7b1c59d42a7a44e258c43c348db256c8170f04a"
+    )
+
+
+def test_covering_translates_frozen():
+    # sha256 frozen before the max-flow loops were rewritten.  The nine
+    # rank 3 translates e_i w e_j a of every a in the rank 3 ball up to
+    # length 3 are the family the long-words bench times, at a smaller
+    # ball; they pin the enumeration-order policy on it.  All 1,683 are
+    # non-primitive, and 252 of them take at least one step.
+    fam = wij_family(3)
+    translates = [wij * a for a in iter_reduced_words(3, 3) for wij in fam.table.values()]
+    assert len(translates) == 1683
+    verdicts = "".join("P" if is_primitive(t, 3) else "N" for t in translates)
+    traces = [tr for tr in (whitehead_minimize(t, 3) for t in translates) if tr.steps]
+    assert len(traces) == 252
+    dump = json.dumps([tr.to_json_dict() for tr in traces], sort_keys=True)
+    assert (
+        hashlib.sha256(verdicts.encode()).hexdigest()
+        == "b289c0d246f8508a401e3b4d7e6ef15340e1577f7bbb46dc71bc0247062b1420"
+    )
+    assert (
+        hashlib.sha256(dump.encode()).hexdigest()
+        == "3f3aabd4de3b2fcdac4e6efce6899375bd7d08f59df462294bbc6987b13b0678"
     )
 
 
