@@ -7,6 +7,8 @@ with a command line front end (``python -m freegroups`` or the
 ``freegroups`` script).
 """
 
+from types import ModuleType as _Module
+
 from .automorphisms import (
     MultiplierAut,
     PermutationAut,
@@ -69,55 +71,9 @@ from .words import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CLAIM_IDS",
-    "CutVertexVerdict",
-    "CyclicWord",
-    "MinimizationTrace",
-    "MultiplierAut",
-    "PermutationAut",
-    "SubgroupGraph",
-    "VerificationReport",
-    "WhiteheadGraph",
-    "WijFamily",
-    "Word",
-    "WordParseError",
-    "apply_aut",
-    "are_conjugate",
-    "build_subgroup_graph",
-    "build_w",
-    "build_whitehead_graph",
-    "canonical_rotation",
-    "commutator",
-    "count_reduced_words",
-    "cyclically_reduce",
-    "enumerate_kind1",
-    "enumerate_kind2",
-    "format_word",
-    "is_basis_pair_f2",
-    "is_primitive",
-    "iter_reduced_words",
-    "kind2_count",
-    "letter_key",
-    "letter_name",
-    "letter_order",
-    "make_report",
-    "parse_word",
-    "primitive_density",
-    "primitive_orbit_oracle",
-    "run_claims",
-    "select_wij",
-    "verify_claim_one",
-    "verify_claim_two",
-    "verify_fact1",
-    "verify_fincov",
-    "verify_lemma38",
-    "verify_nielsen_xcheck",
-    "verify_npbig",
-    "verify_prop24",
-    "verify_section3",
-    "whitehead_edges",
-    "whitehead_minimize",
-    "wij_family",
-    "word_sort_key",
-]
+# the public names imported above; the submodules are attributes too, not exports
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _Module)
+)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import gcd
 from typing import Callable, NamedTuple
@@ -30,7 +31,7 @@ from .primitivity import (
     whitehead_minimize,
 )
 from .stallings import build_subgroup_graph
-from .whitehead_graph import _separation, build_whitehead_graph, edge_matrix, whitehead_edges
+from .whitehead_graph import WhiteheadGraph, build_whitehead_graph
 from .words import Word, _cyclic_strip, format_word, iter_reduced_words
 
 
@@ -201,6 +202,27 @@ def _exponent_sums(letters, rank: int) -> list[int]:
     return sums
 
 
+@cache
+def _block_table(letters: tuple[int, ...], rank: int) -> tuple[int | None, ...]:
+    """For each start p of a covering word, the least end e such that the
+    block letters[p:e] is certified, or None if no block from p is.
+
+    A block is certified when its path graph, the edges (b_k, b_{k+1}^-1)
+    with no wrap-around edge, spans all 2n letters, is connected and has
+    no cut vertex.  Adding edges keeps all three, so every longer block
+    letters[p':e'] with p' <= p and e' >= e is certified too.
+    """
+
+    def certified(p: int, e: int) -> bool:
+        edges = [(letters[k], -letters[k + 1]) for k in range(p, e - 1)]
+        return not WhiteheadGraph(rank, edges).find_cut_vertex().separable
+
+    n = len(letters)
+    return tuple(
+        next((e for e in range(p + 2, n + 1) if certified(p, e)), None) for p in range(n)
+    )
+
+
 def _not_primitive(wij: Word, a: Word, sums: list[int], rank: int) -> bool:
     """Whether the translate wij * a is not primitive, given its exponent
     sums, decided by the first of three rungs that settles it:
@@ -208,10 +230,16 @@ def _not_primitive(wij: Word, a: Word, sums: list[int], rank: int) -> bool:
     1. the exponent sums have gcd other than 1, the zero vector included:
        a primitive maps to a unimodular vector of Z^n (Lyndon and Schupp,
        Combinatorial Group Theory, ch. I);
-    2. the Whitehead graph of the cyclic core is connected and has no cut
-       vertex, so the core is not primitive (Whitehead's cut-vertex lemma:
-       Whitehead 1936; Stallings 1999);
-    3. otherwise the minimizer's verdict.
+    2. the cyclic core keeps a block of wij that _block_table certifies.
+       The Whitehead graph of the core then contains the block's path
+       graph, so it too is connected with no cut vertex, and the core is
+       not primitive (Whitehead's cut-vertex lemma: Whitehead, Ann. of
+       Math. 37, 1936; Stallings 1999).  Finding the block takes O(|a|)
+       letter comparisons and forms no product: s letters of wij cancel
+       against a, cyclic reduction strips c letters from each end of the
+       product, and the block wij[c : min(|wij| - s, |product| - c)]
+       survives;
+    3. otherwise the minimizer's verdict on the core.
 
     Rung 2 needs rank >= 2: at rank 1 the graph of e1 is connected with
     no cut vertex, yet e1 is primitive.  Only the fincov sweep uses this
@@ -222,18 +250,34 @@ def _not_primitive(wij: Word, a: Word, sums: list[int], rank: int) -> bool:
         raise ValueError(f"the non-primitivity ladder needs rank >= 2, got {rank}")
     if gcd(*sums) != 1:
         return True
+    w, x = wij.letters, a.letters
+    s = 0
+    while s < len(w) and s < len(x) and w[-1 - s] == -x[s]:
+        s += 1
+    # the product is w[:head] + x[s:]; read its letters in place
+    head = len(w) - s
+    n = head + len(x) - s
+    c = 0
+    while n - 2 * c >= 2:
+        back = n - 1 - c
+        front = w[c] if c < head else x[c - head + s]
+        if front != -(w[back] if back < head else x[back - head + s]):
+            break
+        c += 1
+    if c < head:
+        end = _block_table(w, rank)[c]
+        if end is not None and end <= min(head, n - c):
+            return True
     core = _cyclic_strip((wij * a).letters)[0]
-    components, cuts = _separation(edge_matrix(whitehead_edges(core), range(1, rank + 1)))
-    if components == 1 and not cuts:
-        return True
     return len(_minimize_letters(core, rank)[0]) != 1
 
 
 def _fincov(rank: int, max_len: int):
     """The fincov sweep.  Each translate is settled by _not_primitive:
-    exponent sums first, then the cut vertex, then the minimizer.  The
-    exponent sums of w_ij a are those of w_ij plus those of a, so the
-    first rung forms no product."""
+    exponent sums first, then a certified block of w_ij that survives in
+    the cyclic core, then the minimizer.  The exponent sums of w_ij a are
+    those of w_ij plus those of a, and the block is read from a table
+    built once per w_ij, so the first two rungs form no product."""
     fam = wij_family(rank)
     translates = [
         (key, fam.table[key], _exponent_sums(fam.table[key].letters, rank))

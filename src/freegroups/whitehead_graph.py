@@ -17,8 +17,7 @@ generators that occur; the minimizer reads the same matrix.  The letters of
 a missing generator are isolated, so the graph is then disconnected.  Cut
 vertices come from the usual low-link DFS over the matrix rows,
 _separation, with an explicit stack so that no rank reaches the recursion
-limit; loops never affect separation and are skipped there.  The fincov
-sweep runs _separation on a bare matrix to certify non-primitivity.  Only
+limit; loops never affect separation and are skipped there.  Only
 vertices and to_dot cost more with the rank.
 """
 

@@ -18,6 +18,7 @@ from freegroups import verify
 from freegroups.primitivity import is_primitive, primitive_orbit_oracle, whitehead_minimize
 from freegroups.verify import (
     _CLAIMS,
+    _block_table,
     _exponent_sums,
     _not_primitive,
     CLAIM_IDS,
@@ -80,6 +81,27 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_public_names_frozen():
+    # the names exported at the time __all__ was still written out by hand
+    assert freegroups.__all__ == [
+        "CLAIM_IDS", "CutVertexVerdict", "CyclicWord", "MinimizationTrace",
+        "MultiplierAut", "PermutationAut", "SubgroupGraph", "VerificationReport",
+        "WhiteheadGraph", "WijFamily", "Word", "WordParseError", "apply_aut",
+        "are_conjugate", "build_subgroup_graph", "build_w", "build_whitehead_graph",
+        "canonical_rotation", "commutator", "count_reduced_words", "cyclically_reduce",
+        "enumerate_kind1", "enumerate_kind2", "format_word", "is_basis_pair_f2",
+        "is_primitive", "iter_reduced_words", "kind2_count", "letter_key", "letter_name",
+        "letter_order", "make_report", "parse_word", "primitive_density",
+        "primitive_orbit_oracle", "run_claims", "select_wij", "verify_claim_one",
+        "verify_claim_two", "verify_fact1", "verify_fincov", "verify_lemma38",
+        "verify_nielsen_xcheck", "verify_npbig", "verify_prop24", "verify_section3",
+        "whitehead_edges", "whitehead_minimize", "wij_family", "word_sort_key",
+    ]
+    namespace = {}
+    exec("from freegroups import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == freegroups.__all__
 
 
 def test_select_wij_frozen():
@@ -187,6 +209,17 @@ def test_ladder_matches_minimizer_on_every_translate(rank, max_len, monkeypatch)
     assert 0 < len(minimized) < translates // 100
 
 
+def test_ladder_reads_the_block_after_both_trims():
+    # the cyclic reduction of A Baba b ABAb . a runs past a into w_ij and
+    # leaves the primitive core b; the block bABAb before that trim is
+    # certified, so reading it would wrongly answer "not primitive"
+    wij, a = parse_word("ABababABAb"), parse_word("a")
+    t = wij * a
+    assert t.cyclic_core().letters == (2,)
+    assert _block_table(wij.letters, 2)[5] == len(wij)
+    assert not _not_primitive(wij, a, _exponent_sums(t.letters, 2), 2)
+
+
 def test_ladder_refuses_rank_1():
     # the graph of e1 in rank 1 is connected with no cut vertex, yet e1 is
     # primitive, so the cut-vertex rung would be wrong there
@@ -199,6 +232,7 @@ def test_independent_routes_never_use_the_ladder(monkeypatch):
         raise RuntimeError("non-primitivity ladder used")
 
     monkeypatch.setattr(verify, "_not_primitive", refuse)
+    monkeypatch.setattr(verify, "_block_table", refuse)
     assert is_primitive(Word([1, 2, 1, 2, 1]), 2)
     assert not is_primitive(Word([1, 1, 2, 2]), 2)
     assert [n for _, n in whitehead_minimize(Word([1, 2, 1, 2, 1]), 2).steps] == [3, 2, 1]
@@ -211,12 +245,55 @@ def test_independent_routes_never_use_the_ladder(monkeypatch):
         verify_fincov(2, 1)
 
 
-# sha256 of fincov JSON beyond the grid, frozen before the ladder so that
-# it is checked to change no byte of the reports; the criterion 9 hashes
-# of verify all and section3 are in test_acceptance.py
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_block_table_matches_networkx(rank, monkeypatch):
+    # every block w_ij[p:e] of every covering word, judged by networkx on
+    # the simple path graph with all 2n letters as nodes; the low-link
+    # search under test is patched out while networkx decides
+    nx = pytest.importorskip("networkx")
+    from freegroups import whitehead_graph
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("_separation used")
+
+    monkeypatch.setattr(whitehead_graph, "_separation", refuse)
+    letters = [x for g in range(1, rank + 1) for x in (g, -g)]
+    expected = {}
+    for wij in wij_family(rank).table.values():
+        w = wij.letters
+        n = len(w)
+        certified = {}
+        for p in range(n):
+            for e in range(p + 1, n + 1):
+                g = nx.Graph()
+                g.add_nodes_from(letters)
+                g.add_edges_from((w[k], -w[k + 1]) for k in range(p, e - 1))
+                certified[p, e] = nx.is_biconnected(g)
+        # every longer block of a certified block is certified
+        for (p, e), ok in certified.items():
+            if ok and p > 0:
+                assert certified[p - 1, e], (w, p, e)
+            if ok and e < n:
+                assert certified[p, e + 1], (w, p, e)
+        expected[w] = tuple(
+            next((e for e in range(p + 1, n + 1) if certified[p, e]), None) for p in range(n)
+        )
+    monkeypatch.undo()
+    for w, ends in expected.items():
+        assert _block_table(w, rank) == ends, w
+    # the covering words themselves are certified, so the table is not empty
+    assert all(ends[0] is not None for ends in expected.values())
+
+
+# sha256 of fincov JSON beyond the grid, frozen before the ladder, and
+# (3, 5) and (3, 6) before the block table, so that each is checked to
+# change no byte of the reports; the criterion 9 hashes of verify all and
+# section3 are in test_acceptance.py
 FINCOV_JSON_SHA256 = {
     ("3", "4"): "44fa1ee4edbab45f0792ffa6ea40a316f26dbd6d682a62a2ec02e0460e774204",
     ("2", "6"): "4a06a8a5fad2b11c56c7e4c96d43649ebe343835c4eba5d68d39f8208e67a0ca",
+    ("3", "5"): "f37a760b8c3117d915acc425428a1ee4e835b0a5f41ec89c59d5e63a6e0348e1",
+    ("3", "6"): "130347ecd70fa647570055c73de07456fa5e91d884f953dc6c40198e2e4fd15a",
 }
 
 
