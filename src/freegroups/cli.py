@@ -20,7 +20,7 @@ from .primitivity import is_basis_pair_f2, is_primitive, whitehead_minimize
 from .stallings import build_subgroup_graph
 from .verify import primitive_density, reports_to_json, run_claims
 from .whitehead_graph import build_whitehead_graph
-from .words import PARSE_LETTER_CAP, are_conjugate, format_word, letter_name, parse_word
+from .words import PARSE_LETTER_CAP, Word, are_conjugate, format_word, letter_name, parse_word
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,6 +91,20 @@ def _write(path: str, text: str) -> None:
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
     print(f"wrote {path}")
+
+
+def _parse_words(texts) -> list[Word]:
+    """Parse the words of one command, refusing them as soon as their
+    letters together pass PARSE_LETTER_CAP, so no more than one word past
+    the cap is ever held."""
+    words = []
+    total = 0
+    for text in texts:
+        words.append(parse_word(text))
+        total += len(words[-1])
+        if total > PARSE_LETTER_CAP:
+            raise ValueError(f"the words together have more than {PARSE_LETTER_CAP} letters")
+    return words
 
 
 def _cmd_reduce(args) -> int:
@@ -168,7 +182,7 @@ def _cmd_nielsen(args) -> int:
 
 
 def _cmd_fold(args) -> int:
-    g = build_subgroup_graph([parse_word(t) for t in args.gens], args.rank)
+    g = build_subgroup_graph(_parse_words(args.gens), args.rank)
     print(f"vertices: {g.num_vertices}")
     print(f"edges: {g.num_edges}")
     print(f"subgroup rank: {g.subgroup_rank()}")
@@ -179,7 +193,7 @@ def _cmd_fold(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    g = build_subgroup_graph([parse_word(t) for t in args.subgroup], args.rank)
+    g = build_subgroup_graph(_parse_words(args.subgroup), args.rank)
     if g.contains(parse_word(args.word)):
         print("member")
         return 0

@@ -20,7 +20,6 @@ import time
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from math import gcd
 from typing import Callable, NamedTuple
 
 from .primitivity import (
@@ -60,16 +59,6 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "VerificationReport":
-        return cls(
-            claim_id=d["claim_id"],
-            parameters=dict(d["parameters"]),
-            status=d["status"],
-            counterexamples=list(d["counterexamples"]),
-            stats=dict(d["stats"]),
-        )
 
 
 def make_report(claim_id, parameters, counterexamples, stats, seconds) -> VerificationReport:
@@ -191,17 +180,6 @@ def verify_fincov(rank: int, max_len: int) -> VerificationReport:
     return _CLAIMS["fincov"].run(rank=rank, max_len=max_len)
 
 
-def _exponent_sums(letters, rank: int) -> list[int]:
-    """The image of a word in Z^rank: the exponent sum of each generator."""
-    sums = [0] * rank
-    for x in letters:
-        if x > 0:
-            sums[x - 1] += 1
-        else:
-            sums[-x - 1] -= 1
-    return sums
-
-
 @cache
 def _block_table(letters: tuple[int, ...], rank: int) -> tuple[int | None, ...]:
     """For each start p of a covering word, the least end e such that the
@@ -223,14 +201,11 @@ def _block_table(letters: tuple[int, ...], rank: int) -> tuple[int | None, ...]:
     )
 
 
-def _not_primitive(wij: Word, a: Word, sums: list[int], rank: int) -> bool:
-    """Whether the translate wij * a is not primitive, given its exponent
-    sums, decided by the first of three rungs that settles it:
+def _not_primitive(wij: Word, table: tuple[int | None, ...], a: Word, rank: int) -> bool:
+    """Whether the translate wij * a is not primitive, given the
+    _block_table of wij, decided by the first of two rungs that settles it:
 
-    1. the exponent sums have gcd other than 1, the zero vector included:
-       a primitive maps to a unimodular vector of Z^n (Lyndon and Schupp,
-       Combinatorial Group Theory, ch. I);
-    2. the cyclic core keeps a block of wij that _block_table certifies.
+    1. the cyclic core keeps a block of wij that the table certifies.
        The Whitehead graph of the core then contains the block's path
        graph, so it too is connected with no cut vertex, and the core is
        not primitive (Whitehead's cut-vertex lemma: Whitehead, Ann. of
@@ -239,17 +214,16 @@ def _not_primitive(wij: Word, a: Word, sums: list[int], rank: int) -> bool:
        against a, cyclic reduction strips c letters from each end of the
        product, and the block wij[c : min(|wij| - s, |product| - c)]
        survives;
-    3. otherwise the minimizer's verdict on the core.
+    2. otherwise the minimizer's verdict on the core.  It decides 1.75 %
+       of the translates at (2, 5), 0.53 % at (3, 3) and 0.63 % at (3, 6).
 
-    Rung 2 needs rank >= 2: at rank 1 the graph of e1 is connected with
+    Rung 1 needs rank >= 2: at rank 1 the graph of e1 is connected with
     no cut vertex, yet e1 is primitive.  Only the fincov sweep uses this
     ladder; is_primitive and prop24, which checks the cut-vertex lemma
     itself, keep the minimizer alone.
     """
     if rank < 2:
         raise ValueError(f"the non-primitivity ladder needs rank >= 2, got {rank}")
-    if gcd(*sums) != 1:
-        return True
     w, x = wij.letters, a.letters
     s = 0
     while s < len(w) and s < len(x) and w[-1 - s] == -x[s]:
@@ -265,7 +239,7 @@ def _not_primitive(wij: Word, a: Word, sums: list[int], rank: int) -> bool:
             break
         c += 1
     if c < head:
-        end = _block_table(w, rank)[c]
+        end = table[c]
         if end is not None and end <= min(head, n - c):
             return True
     core = _cyclic_strip((wij * a).letters)[0]
@@ -274,13 +248,12 @@ def _not_primitive(wij: Word, a: Word, sums: list[int], rank: int) -> bool:
 
 def _fincov(rank: int, max_len: int):
     """The fincov sweep.  Each translate is settled by _not_primitive:
-    exponent sums first, then a certified block of w_ij that survives in
-    the cyclic core, then the minimizer.  The exponent sums of w_ij a are
-    those of w_ij plus those of a, and the block is read from a table
-    built once per w_ij, so the first two rungs form no product."""
+    first a certified block of w_ij that survives in the cyclic core, then
+    the minimizer.  The block is read from the _block_table of w_ij,
+    looked up once per sweep, so the first rung forms no product."""
     fam = wij_family(rank)
     translates = [
-        (key, fam.table[key], _exponent_sums(fam.table[key].letters, rank))
+        (key, fam.table[key], _block_table(fam.table[key].letters, rank))
         for key in sorted(fam.table)
     ]
     counterexamples = []
@@ -290,12 +263,10 @@ def _fincov(rank: int, max_len: int):
     for a in iter_reduced_words(rank, max_len, include_empty=True):
         checked += 1
         selected = select_wij(a, fam)
-        a_sums = _exponent_sums(a.letters, rank)
         multiplicity = 0
         selected_covers = False
-        for key, wij, wij_sums in translates:
-            sums = [p + q for p, q in zip(wij_sums, a_sums)]
-            if _not_primitive(wij, a, sums, rank):
+        for key, wij, table in translates:
+            if _not_primitive(wij, table, a, rank):
                 multiplicity += 1
                 if key == selected:
                     selected_covers = True

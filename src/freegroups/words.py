@@ -123,10 +123,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word._wrap(tuple(-x for x in reversed(self.letters)))
 
-    def conjugate_by(self, g: "Word") -> "Word":
-        """g * self * g^-1."""
-        return g * self * g.inverse()
-
     def cyclic_core(self) -> "Word":
         return Word._wrap(_cyclic_strip(self.letters)[0])
 
@@ -197,14 +193,6 @@ class CyclicWord:
         if self._canon is None:
             self._canon = Word._wrap(canonical_rotation(self.word.letters))
         return self._canon
-
-    def rotations(self) -> Iterator[Word]:
-        lets = self.word.letters
-        if not lets:
-            yield self.word
-            return
-        for i in range(len(lets)):
-            yield Word._wrap(lets[i:] + lets[:i])
 
     def __len__(self) -> int:
         return len(self.word.letters)

@@ -116,6 +116,25 @@ def test_no_argv_exits_3(args):
     assert "internal error" not in err.getvalue()
 
 
+# four words at the letter cap: each parses, but together they pass it
+AT_CAP = ["a^1000000", "b^1000000", "c^1000000", "d^1000000"]
+
+
+@pytest.mark.parametrize(
+    "args", [["fold", *AT_CAP, "--rank", "4"], ["member", "a", "--rank", "4", "--subgroup", *AT_CAP]]
+)
+def test_words_past_the_letter_cap_together_exit_2(args):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(args) == 2
+    assert "together have more than 1000000 letters" in err.getvalue()
+
+
+def test_words_at_the_letter_cap_together_fold():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fold", "a^500000", "b^500000", "--rank", "2"]) == 0
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -127,6 +146,8 @@ def test_no_argv_exits_3(args):
         ["verify", "claimI", "--truncation", HUGE[1], "--json", TMP],
         ["density", "--rank", HUGE[0], "--max-len", "3"],
         ["nielsen", "a^999999", "b"],
+        ["fold", *AT_CAP, "--rank", "4"],
+        ["member", "a", "--rank", "4", "--subgroup", *AT_CAP],
     ],
 )
 def test_hostile_argv_in_small_address_space(args, tmp_path):

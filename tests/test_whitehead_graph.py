@@ -125,7 +125,8 @@ def graph_corpus():
             w = random_reduced(rng, max(gens), rng.randint(1, 14))
             w = Word(x if abs(x) in gens else gens[0] for x in w)
             if rng.random() < 0.3:
-                w = w.conjugate_by(random_reduced(rng, rank, rng.randint(1, 2)))
+                g = random_reduced(rng, rank, rng.randint(1, 2))
+                w = g * w * g.inverse()
             out.append((w, rank))
     return out
 

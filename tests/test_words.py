@@ -261,7 +261,7 @@ def test_conjugation_by_random_element():
     for _ in range(500):
         w = Word(random_raw(rng, 3, 15))
         g = Word(random_raw(rng, 3, 10))
-        assert are_conjugate(w, w.conjugate_by(g))
+        assert are_conjugate(w, g * w * g.inverse())
 
 
 # ------------------------------------------------------------ commutator
