@@ -21,7 +21,8 @@ member sets is exactly that cut (Roig, Ventura and Weil, "On the
 complexity of the Whitehead minimization problem", IJAC 17, 2007).  One
 max-flow per multiplier, stopped once it reaches deg(a), therefore tells
 whether any set for a improves, and every move is read off such capped
-max-flows.  Two frozen policies pick the set:
+max-flows.  Two frozen policies pick the set of each step of a trace, as
+whitehead_minimize returns it:
 
   * rank <= RANK_ENUM_LIMIT: the first improving set in kind 2
     enumeration order, which keeps the traces of the full scan.  Each
@@ -31,8 +32,13 @@ max-flows.  Two frozen policies pick the set:
   * larger ranks: the source side of the minimum cut nearest a, read off
     the same max-flow, which is the same set for every maximum flow.
 
-Every applied step is re-measured on the actual word and checked against
-the predicted length.
+The policies pin traces only.  Callers that need just the verdict
+(is_primitive, the per-sweep verdict cache and the fincov ladder in
+verify) take the minimum cut side at every rank, and apply a move that
+comes back on two steps in a row as a power phi^m, m doubled while the
+cyclic length still drops.  A word like b a^k then takes a handful of
+steps instead of one per letter.  Every applied step is re-measured on
+the actual word and checked against the predicted length.
 """
 
 from __future__ import annotations
@@ -219,26 +225,84 @@ def _find_move(core: tuple[int, ...], use_cut: bool):
     return None
 
 
-def _minimize_letters(letters: tuple[int, ...], rank: int):
-    """Greedy descent on the cyclic core.  Returns (terminal core, steps)."""
+def _power_image(a: int, members: frozenset[int], core: tuple[int, ...]):
+    """The image of a cyclic core under phi^m, where phi is the kind 2
+    move with multiplier a and member set A = members, and m is doubled
+    from 1 while the cyclic length of the image still drops, as
+    (letters, predicted cyclic length).  The core must hold a letter
+    other than a^{+-1}, as every core that some move shortens does.
+
+    Write the core as x_1 a^k_1 ... x_r a^k_r with no x_i in {a, a^-1}.
+    phi^m fixes a and sends x to a^-m x when x^-1 is a member and to x a^m
+    when x is, so it keeps every x_i and turns k_i into k_i + m e_i, with
+    e_i = [x_i in A] - [x_{i+1}^-1 in A] read cyclically.  Where x_{i+1}
+    is x_i^-1, e_i is 0 and k_i stays nonzero, so no two x_i ever meet
+    and cancel: the image is cyclically reduced, of length
+    r + sum |k_i + m e_i|, and one trial costs O(r) for any m.
+    """
+    start = next(i for i, x in enumerate(core) if x != a and x != -a)
+    xs: list[int] = []
+    ks: list[int] = []
+    for x in core[start:] + core[:start]:
+        if x == a:
+            ks[-1] += 1
+        elif x == -a:
+            ks[-1] -= 1
+        else:
+            xs.append(x)
+            ks.append(0)
+    es = [(x in members) - (-y in members) for x, y in zip(xs, xs[1:] + xs[:1])]
+    fixed = len(xs) + sum(abs(k) for k, e in zip(ks, es) if not e)
+    moving = [(k, e) for k, e in zip(ks, es) if e]
+
+    def length(m: int) -> int:
+        return fixed + sum(abs(k + m * e) for k, e in moving)
+
+    m, best = 1, length(1)
+    while (trial := length(2 * m)) < best:
+        m, best = 2 * m, trial
+    out: list[int] = []
+    for x, k, e in zip(xs, ks, es):
+        out.append(x)
+        k += m * e
+        out += [a] * k if k > 0 else [-a] * -k
+    return out, best
+
+
+def _minimize_letters(letters: tuple[int, ...], rank: int, verdict: bool = False):
+    """Greedy descent on the cyclic core.  Returns (terminal core, steps).
+
+    Without verdict the steps are the trace: one move per step, chosen by
+    the frozen policy of the rank.  With verdict only the terminal core
+    is meant for use.  Every step then takes the minimum cut move, and a
+    move found on two steps in a row is applied as its power phi^m from
+    _power_image, so the steps are not a trace.  Any strictly shortening
+    sequence of automorphisms ends at the orbit minimum (peak reduction:
+    Higgins and Lyndon, J. London Math. Soc. 8, 1974), so the terminal
+    length, and with it the verdict, does not depend on the moves taken.
+    """
     core = _cyclic_strip(letters)[0]
     steps: list[tuple[MultiplierAut, int]] = []
-    use_cut = rank > RANK_ENUM_LIMIT
+    use_cut = verdict or rank > RANK_ENUM_LIMIT
+    last = None
     while len(core) > 1:
         found = _find_move(core, use_cut)
         if found is None:
             break
         aut, gain = found
-        new_core = _cyclic_strip(
-            _apply_k2_letters(aut.multiplier, aut.members, core)
-        )[0]
-        if len(new_core) != len(core) + gain:
+        if verdict and aut == last:
+            image, predicted = _power_image(aut.multiplier, aut.members, core)
+            new_core = _cyclic_strip(_reduce_tuple(image))[0]
+        else:
+            image = _apply_k2_letters(aut.multiplier, aut.members, core)
+            new_core, predicted = _cyclic_strip(image)[0], len(core) + gain
+        if len(new_core) != predicted:
             raise RuntimeError(
-                f"predicted cyclic length {len(core) + gain} but got "
+                f"predicted cyclic length {predicted} but got "
                 f"{len(new_core)} applying {aut!r}"
             )
         steps.append((aut, len(new_core)))
-        core = new_core
+        core, last = new_core, aut
     return core, steps
 
 
@@ -263,7 +327,7 @@ def is_primitive(w: Word, rank: int) -> bool:
     check_rank(w.letters, rank)
     if not w.letters:
         return False
-    core, _ = _minimize_letters(w.letters, rank)
+    core, _ = _minimize_letters(w.letters, rank, verdict=True)
     return len(core) == 1
 
 
@@ -298,7 +362,7 @@ class _VerdictCache:
         cls = self._class_of.get(key)
         if cls is None:
             cls = len(self.primitive)
-            self.primitive.append(len(_minimize_letters(core, self.rank)[0]) == 1)
+            self.primitive.append(len(_minimize_letters(core, self.rank, verdict=True)[0]) == 1)
             for images in self._kind1:
                 image = _apply_k1_letters(images, key)
                 self._class_of[canonical_rotation(image)] = cls

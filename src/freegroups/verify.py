@@ -243,7 +243,7 @@ def _not_primitive(wij: Word, table: tuple[int | None, ...], a: Word, rank: int)
         if end is not None and end <= min(head, n - c):
             return True
     core = _cyclic_strip((wij * a).letters)[0]
-    return len(_minimize_letters(core, rank)[0]) != 1
+    return len(_minimize_letters(core, rank, verdict=True)[0]) != 1
 
 
 def _fincov(rank: int, max_len: int):

@@ -167,3 +167,23 @@ def test_hostile_argv_in_small_address_space(args, tmp_path):
     )
     assert proc.returncode in (0, 1, 2), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_primitive_power_word_at_the_parse_cap_answers_quickly():
+    # b a^999999 is 1,000,000 letters, the most the parser admits; its
+    # verdict descent takes power steps, so it answers well inside the limit
+    import resource
+    import subprocess
+    import sys
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "freegroups", "primitive", "ba^999999", "--rank", "2"],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_memory,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "primitive\n", "")

@@ -15,6 +15,7 @@ from freegroups.primitivity import (
     _find_move,
     _max_flow,
     _minimize_letters,
+    _power_image,
     is_basis_pair_f2,
     is_primitive,
     primitive_orbit_oracle,
@@ -479,6 +480,73 @@ def test_cut_engine_used_at_high_rank():
     assert is_primitive(w, 6)
     squares = Word([2, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5, 6, 6])
     assert not is_primitive(squares, 6)
+
+
+# --- verdict-only descent: minimum cut moves and power steps ---
+
+
+def terminal_lengths(letters, rank):
+    # terminal cyclic lengths of the single-step and the verdict descent
+    return (
+        len(_minimize_letters(letters, rank)[0]),
+        len(_minimize_letters(letters, rank, verdict=True)[0]),
+    )
+
+
+@pytest.mark.parametrize("rank,max_len,count", [(2, 8, 13_120), (3, 6, 23_436)])
+def test_verdict_descent_matches_single_steps_on_balls(rank, max_len, count):
+    words = list(iter_reduced_words(rank, max_len, include_empty=False))
+    assert len(words) == count
+    for w in words:
+        single, verdict = terminal_lengths(w.letters, rank)
+        assert single == verdict, format_word(w)
+        assert is_primitive(w, rank) == (single == 1), format_word(w)
+
+
+def test_verdict_descent_matches_single_steps_on_covering_translates():
+    fam = wij_family(3)
+    translates = [wij * a for a in iter_reduced_words(3, 3) for wij in fam.table.values()]
+    assert len(translates) == 1683
+    for t in translates:
+        single, verdict = terminal_lengths(t.letters, 3)
+        assert single == verdict, format_word(t)
+
+
+def test_power_steps_shorten_the_descent_of_b_a_k():
+    # b a^k takes one single move per letter; the verdict descent applies
+    # the repeated move as a power and needs only a few steps
+    letters = (2,) + (1,) * 1000
+    core, steps = _minimize_letters(letters, 2)
+    assert len(core) == 1 and len(steps) == 1000
+    core, steps = _minimize_letters(letters, 2, verdict=True)
+    assert len(core) == 1 and len(steps) <= 12
+    assert [n for _, n in steps] == sorted({n for _, n in steps}, reverse=True)
+
+
+def test_power_image_is_the_doubled_power():
+    # _power_image reads phi^m off the runs of the multiplier; here phi is
+    # applied letter by letter, m is doubled on the measured cyclic lengths,
+    # and the two images must be conjugate
+    rng = random.Random(49)
+    for rank in (2, 3):
+        for core in random_cores(rng, rank, 40, 12):
+            for aut in rng.sample(kind2(rank), 6):
+                a, members = aut.multiplier, aut.members
+                if all(abs(x) == abs(a) for x in core):
+                    continue
+                powers = [core]
+
+                def power(j):
+                    while len(powers) <= j:
+                        powers.append(_cyclic_strip(_apply_k2_letters(a, members, powers[-1]))[0])
+                    return powers[j]
+
+                m = 1
+                while len(power(2 * m)) < len(power(m)):
+                    m *= 2
+                image, predicted = _power_image(a, members, core)
+                assert predicted == len(image) == len(power(m)), (core, aut)
+                assert are_conjugate(Word(image), Word(power(m))), (core, aut)
 
 
 # --- Nielsen basis pair criterion ---

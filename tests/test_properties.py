@@ -1,9 +1,11 @@
 """Hypothesis properties of folding, of the word text forms and of the
 Whitehead automorphisms.  The per-sweep verdict cache files one verdict
 under every signed permutation image of a core and of its inverse, so
-the invariances it relies on are checked here as properties.
+the invariances it relies on are checked here as properties, and so is
+the verdict-only descent on automorphic images.
 
-The examples are derandomized by the profile in conftest.py.
+The examples are derandomized by the profile in conftest.py, so fixed
+cases stand next to a property wherever a rare branch must be reached.
 """
 
 import random
@@ -15,8 +17,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from freegroups.automorphisms import apply_aut, enumerate_kind1, enumerate_kind2
-from freegroups.primitivity import is_basis_pair_f2, is_primitive
+from freegroups.automorphisms import MultiplierAut, apply_aut, enumerate_kind1, enumerate_kind2
+from freegroups.primitivity import _minimize_letters, is_basis_pair_f2, is_primitive
 from freegroups.stallings import build_subgroup_graph
 from freegroups.whitehead_graph import build_whitehead_graph
 from freegroups.words import Word, are_conjugate, commutator, format_word, parse_word
@@ -147,3 +149,58 @@ def test_basis_pair_test_is_commutator_conjugacy(auts, w, data):
         assert is_basis_pair_f2(a, b)
     c = commutator(a, b)
     assert is_basis_pair_f2(a, b) == any(are_conjugate(c, k) for k in F2_COMMUTATORS)
+
+
+@st.composite
+def whitehead_chains(draw):
+    # random kind 2 moves with one move repeated many times in between,
+    # the shape whose descent the verdict mode shortens by power steps
+    rank = draw(st.integers(2, 4))
+    moves = st.sampled_from(enumerate_kind2(rank))
+    chain = draw(st.lists(moves, max_size=5))
+    at = draw(st.integers(0, len(chain)))
+    chain[at:at] = [draw(moves)] * draw(st.integers(0, 80))
+    return rank, chain
+
+
+def image(chain, w):
+    for aut in chain:
+        w = apply_aut(aut, w)
+    return w
+
+
+def check_verdict_descent(rank, chain):
+    # e1 is primitive and a^2 b^2 is not: its orbit minimum is its own
+    # length 4, which the verdict descent must reach as well
+    e1 = image(chain, Word([1]))
+    assert is_primitive(e1, rank), format_word(e1)
+    square = image(chain, Word([1, 1, 2, 2]))
+    assert not is_primitive(square, rank), format_word(square)
+    assert len(_minimize_letters(square.letters, rank, verdict=True)[0]) == 4
+
+
+@given(whitehead_chains())
+def test_verdict_descent_on_whitehead_images(case):
+    check_verdict_descent(*case)
+
+
+def move(multiplier, *others):
+    return MultiplierAut(multiplier, frozenset({multiplier, *others}))
+
+
+POWER_CHAINS = [
+    (2, [move(2, 1)] * 60),
+    (2, [move(1, -2)] * 40 + [move(2, 1)] * 25),
+    (3, [move(3, 1, -2)] * 50 + [move(-1, 2)] * 3),
+    (4, [move(2, 1, 3)] * 2 + [move(-4, 1, -1, 2)] * 70 + [move(3, -2)]),
+]
+
+
+@pytest.mark.parametrize("rank,chain", POWER_CHAINS)
+def test_verdict_descent_on_fixed_powers(rank, chain):
+    # each of these descents repeats a move, so the power step is taken:
+    # the verdict descent needs fewer steps than the single-step trace
+    check_verdict_descent(rank, chain)
+    for w in (image(chain, Word([1])), image(chain, Word([1, 1, 2, 2]))):
+        verdict = _minimize_letters(w.letters, rank, verdict=True)[1]
+        assert len(verdict) < len(_minimize_letters(w.letters, rank)[1])

@@ -185,9 +185,9 @@ def test_ladder_matches_minimizer_on_every_translate(rank, max_len, monkeypatch)
     minimize = verify._minimize_letters
     minimized = []
 
-    def counting_minimize(letters, r):
+    def counting_minimize(letters, r, verdict=False):
         minimized.append(letters)
-        return minimize(letters, r)
+        return minimize(letters, r, verdict=verdict)
 
     monkeypatch.setattr(verify, "_minimize_letters", counting_minimize)
     fam = wij_family(rank)
