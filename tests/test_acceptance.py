@@ -217,3 +217,13 @@ def test_criterion_9_determinism(tmp_path):
     # in process as well
     assert verify_npbig(2, 3).to_json() == verify_npbig(2, 3).to_json()
     print("criterion 9: PASS  verify all twice is byte-identical JSON")
+
+
+def test_criterion_9_overwrites_in_place(tmp_path):
+    # a longer file already at the path must leave no stale tail
+    target = tmp_path / "report.json"
+    target.write_bytes(random.Random(9).randbytes(10 * 1024))
+    args = ("all", "--max-len", "2", "--truncation", "3")
+    for _ in range(2):
+        assert hashlib.sha256(_verify_json(target, *args)).hexdigest() == ALL_JSON_SHA256
+    print("criterion 9: PASS  verify all over 10 KB of junk, twice, is the pinned JSON")

@@ -1,6 +1,9 @@
 """Tests for the command line interface: output, exit codes, file flags."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -76,8 +79,6 @@ def test_wgraph_dot_file(capsys, tmp_path):
 def test_wgraph_dot_refused_at_huge_rank(tmp_path):
     # DOT lists all 2*rank letters: refuse before printing anything
     import resource
-    import subprocess
-    import sys
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
@@ -108,8 +109,6 @@ def test_cutvertex_at_huge_rank_stays_small():
     # the graph of ab at rank 10^12 spans two generators; the separation
     # check must not touch the other letters of the rank
     import resource
-    import subprocess
-    import sys
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
@@ -330,6 +329,115 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+# --- output files: overwritten in place, never truncated to zero on open ---
+
+OUTPUT_ARGV = [
+    ["wgraph", "ab", "--rank", "2", "--dot"],
+    ["fold", "ab", "--rank", "2", "--dot"],
+    ["verify", "claimI", "--json"],
+]
+
+
+def _fresh_output(capsys, tmp_path, argv):
+    """The bytes argv writes to a path that did not exist before."""
+    target = tmp_path / "fresh"
+    code, _, _ = run(capsys, *argv, str(target))
+    assert code == 0
+    return target.read_bytes()
+
+
+@pytest.mark.parametrize("argv", OUTPUT_ARGV)
+def test_output_over_longer_file_leaves_new_bytes(capsys, tmp_path, argv):
+    expected = _fresh_output(capsys, tmp_path, argv)
+    target = tmp_path / "out"
+    target.write_bytes(b"#" * (len(expected) + 4096))
+    code, out, _ = run(capsys, *argv, str(target))
+    assert code == 0
+    assert out.endswith(f"wrote {target}\n")
+    assert target.read_bytes() == expected
+
+
+@pytest.mark.parametrize("argv", OUTPUT_ARGV)
+def test_output_rerun_leaves_same_bytes(capsys, tmp_path, argv):
+    target = tmp_path / "out"
+    contents = []
+    for _ in range(2):
+        code, _, _ = run(capsys, *argv, str(target))
+        assert code == 0
+        contents.append(target.read_bytes())
+    assert contents[0] == contents[1]
+
+
+@pytest.mark.parametrize("argv", OUTPUT_ARGV)
+def test_output_written_through_symlink(capsys, tmp_path, argv):
+    expected = _fresh_output(capsys, tmp_path, argv)
+    real = tmp_path / "real"
+    real.write_bytes(b"#" * 10_000)
+    link = tmp_path / "link"
+    link.symlink_to(real)
+    code, _, _ = run(capsys, *argv, str(link))
+    assert code == 0
+    assert link.is_symlink() and link.resolve() == real.resolve()
+    assert real.read_bytes() == expected
+
+
+@pytest.mark.parametrize("argv", OUTPUT_ARGV)
+def test_output_to_dev_null_exits_0(capsys, argv):
+    # ftruncate fails on /dev/null, so only a regular file is cut
+    code, out, err = run(capsys, *argv, "/dev/null")
+    assert (code, err) == (0, "")
+    assert out.endswith("wrote /dev/null\n")
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root writes through file permissions")
+@pytest.mark.parametrize("argv", OUTPUT_ARGV)
+def test_output_read_only_file_exits_2(capsys, tmp_path, argv):
+    target = tmp_path / "out"
+    target.write_bytes(b"old report")
+    target.chmod(0o444)
+    code, out, err = run(capsys, *argv, str(target))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "wrote" not in out
+    assert target.read_bytes() == b"old report"
+
+
+@pytest.mark.parametrize("argv", OUTPUT_ARGV)
+def test_output_never_opened_with_o_trunc(capsys, tmp_path, monkeypatch, argv):
+    expected = _fresh_output(capsys, tmp_path, argv)
+    target = tmp_path / "out"
+    target.write_bytes(b"#" * (len(expected) + 4096))
+    flags_seen = []
+    real_open = os.open
+
+    def spy_open(path, flags, *rest, **kwargs):
+        flags_seen.append(flags)
+        return real_open(path, flags, *rest, **kwargs)
+
+    monkeypatch.setattr(cli.os, "open", spy_open)
+    code, _, _ = run(capsys, *argv, str(target))
+    assert code == 0
+    assert flags_seen, "the writer no longer opens through os.open"
+    assert not any(flags & os.O_TRUNC for flags in flags_seen)
+    assert target.read_bytes() == expected
+
+
+def test_closed_stdout_exits_2():
+    # the trace is about 90 KB, more than a pipe buffers, so the writer
+    # is still printing when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "freegroups", "primitive", "ba^3000", "--rank", "2", "--trace"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first == "3001 -> 3000  (e1; {e1, e2^-1})\n"
+    assert (proc.returncode, err) == (2, "")
+
+
 def test_rank_cap_error_exits_2(capsys):
     code, _, err = run(capsys, "wgraph", "abc", "--rank", "2")
     assert code == 2
@@ -346,9 +454,6 @@ def test_usage_error_exits_2():
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "freegroups", "reduce", "abB"],
         capture_output=True,
