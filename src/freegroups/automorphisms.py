@@ -22,19 +22,20 @@ last pair stepping fastest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 
-from .words import Word, check_rank, letter_key, letter_name, letter_order
+from .words import Word, _FrozenRecord, check_rank, letter_key, letter_name, letter_order
 
 RANK_CAP = 8  # enumerate_kind2 refuses anything bigger
 
 
-@dataclass(frozen=True)
-class PermutationAut:
+class PermutationAut(_FrozenRecord):
     """Kind 1: generator i maps to the letter images[i-1]."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple[int, ...]):
+        object.__setattr__(self, "images", images)
 
     def is_valid(self) -> bool:
         if not self.images:
@@ -62,12 +63,24 @@ class PermutationAut:
         return f"PermutationAut({imgs})"
 
 
-@dataclass(frozen=True)
-class MultiplierAut:
+class MultiplierAut(_FrozenRecord):
     """Kind 2: multiplier letter plus the member set of letters it follows."""
 
-    multiplier: int
-    members: frozenset[int]
+    __slots__ = ("multiplier", "members")
+
+    def __init__(self, multiplier: int, members: frozenset[int]):
+        object.__setattr__(self, "multiplier", multiplier)
+        object.__setattr__(self, "members", members)
+
+    # spelled out rather than inherited: the minimizer compares moves on
+    # every verdict step, and plain attribute loads beat the generic getter
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.multiplier, self.members) == (other.multiplier, other.members)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.multiplier, self.members))
 
     def is_valid(self) -> bool:
         if self.multiplier == 0 or any(x == 0 for x in self.members):

@@ -44,7 +44,6 @@ the actual word and checked against the predicted length.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .automorphisms import (
     MultiplierAut,
@@ -57,6 +56,7 @@ from .whitehead_graph import edge_matrix, vertex_letters, whitehead_edges
 from .words import (
     CyclicWord,
     Word,
+    _Record,
     _cyclic_strip,
     _reduce_tuple,
     canonical_rotation,
@@ -72,8 +72,7 @@ ORACLE_RANK_CAP = 3
 ORACLE_LEN_CAP = 10
 
 
-@dataclass
-class MinimizationTrace:
+class MinimizationTrace(_Record):
     """Record of one greedy descent.
 
     steps holds (automorphism, resulting cyclic length) pairs with strictly
@@ -81,9 +80,17 @@ class MinimizationTrace:
     kind 2 move shortens anything further.
     """
 
-    start: Word
-    steps: list[tuple[MultiplierAut, int]] = field(default_factory=list)
-    final: CyclicWord = None  # type: ignore[assignment]
+    __slots__ = ("start", "steps", "final")
+
+    def __init__(
+        self,
+        start: Word,
+        steps: list[tuple[MultiplierAut, int]] | None = None,
+        final: CyclicWord | None = None,
+    ):
+        self.start = start
+        self.steps = [] if steps is None else steps  # a fresh list per trace
+        self.final = final
 
     def to_json_dict(self) -> dict:
         return {

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from typing import Callable, NamedTuple
@@ -31,16 +30,27 @@ from .primitivity import (
 )
 from .stallings import build_subgroup_graph
 from .whitehead_graph import WhiteheadGraph, build_whitehead_graph
-from .words import Word, _cyclic_strip, format_word, iter_reduced_words
+from .words import (
+    Word,
+    _FrozenRecord,
+    _Record,
+    _cyclic_strip,
+    format_word,
+    iter_reduced_words,
+)
 
 
-@dataclass
-class VerificationReport:
-    claim_id: str
-    parameters: dict
-    status: str
-    counterexamples: list
-    stats: dict
+class VerificationReport(_Record):
+    __slots__ = ("claim_id", "parameters", "status", "counterexamples", "stats")
+
+    def __init__(
+        self, claim_id: str, parameters: dict, status: str, counterexamples: list, stats: dict
+    ):
+        self.claim_id = claim_id
+        self.parameters = parameters
+        self.status = status
+        self.counterexamples = counterexamples
+        self.stats = stats
 
     @property
     def passed(self) -> bool:
@@ -95,20 +105,19 @@ def build_w(rank: int) -> Word:
     return w
 
 
-@dataclass(frozen=True)
-class WijFamily:
+class WijFamily(_FrozenRecord):
     """The n^2 translating words e_i w e_j indexed by (i, j)."""
 
-    rank: int
-    w: Word
-    table: dict
+    __slots__ = ("rank", "w", "table")
 
-    def __post_init__(self):
-        if len(self.table) != self.rank * self.rank:
+    def __init__(self, rank: int, w: Word, table: dict):
+        if len(table) != rank * rank:
             raise ValueError(
-                f"need {self.rank * self.rank} translates for rank {self.rank}, "
-                f"got {len(self.table)}"
+                f"need {rank * rank} translates for rank {rank}, got {len(table)}"
             )
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "table", table)
 
 
 def wij_family(rank: int) -> WijFamily:

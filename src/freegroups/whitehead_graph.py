@@ -23,22 +23,22 @@ vertices and to_dot cost more with the rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .words import Word, check_rank, letter_name, letter_order
+from .words import Word, _FrozenRecord, check_rank, letter_name, letter_order
 
 
-@dataclass(frozen=True)
-class CutVertexVerdict:
+class CutVertexVerdict(_FrozenRecord):
     """Outcome of the separability check.
 
     separable is True when the graph is disconnected or has a cut vertex;
     cut_vertex is the least such vertex in letter order, or None.
     """
 
-    connected: bool
-    cut_vertex: int | None
-    separable: bool
+    __slots__ = ("connected", "cut_vertex", "separable")
+
+    def __init__(self, connected: bool, cut_vertex: int | None, separable: bool):
+        object.__setattr__(self, "connected", connected)
+        object.__setattr__(self, "cut_vertex", cut_vertex)
+        object.__setattr__(self, "separable", separable)
 
 
 class WhiteheadGraph:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 PARSE_LETTER_CAP = 1_000_000  # letters one form A text may expand to, before reduction
@@ -73,6 +74,51 @@ def _cyclic_strip(letters: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int,
         i += 1
         j -= 1
     return letters[i:j], letters[:i]
+
+
+class _Record:
+    """Base of the package's small value classes, written out by hand so
+    that importing the package generates no code.
+
+    The fields are the subclass's ``__slots__``, which its ``__init__``
+    sets.  Records compare by value, and only with records of the same
+    class; they print as ``Name(field=value, ...)``, pickle and copy
+    through the constructor, and are unhashable unless frozen.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if cls.__slots__:
+            cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class _FrozenRecord(_Record):
+    """A record that hashes by value and refuses assignment and deletion;
+    its ``__init__`` sets the fields with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class WordParseError(ValueError):
