@@ -141,7 +141,9 @@ def test_frozen_classes_hash_by_value():
         hash(WijFamily(2, W, TABLE))
 
 
-@pytest.mark.parametrize("cls", [MinimizationTrace, VerificationReport], ids=str)
+@pytest.mark.parametrize(
+    "cls", [MinimizationTrace, VerificationReport], ids=lambda c: c.__name__
+)
 def test_mutable_classes_are_unhashable(cls):
     case = next(c for c in CASES if c[0] is cls)
     with pytest.raises(TypeError):
