@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-from .words import Word, _FrozenRecord, check_rank, letter_key, letter_name, letter_order
+from .words import Word, _FrozenRecord, _reduce_tuple, check_rank
+from .words import letter_key, letter_name, letter_order
 
 RANK_CAP = 8  # enumerate_kind2 refuses anything bigger
 
@@ -72,16 +73,6 @@ class MultiplierAut(_FrozenRecord):
         object.__setattr__(self, "multiplier", multiplier)
         object.__setattr__(self, "members", members)
 
-    # spelled out rather than inherited: the minimizer compares moves on
-    # every verdict step, and plain attribute loads beat the generic getter
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.multiplier, self.members) == (other.multiplier, other.members)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.multiplier, self.members))
-
     def is_valid(self) -> bool:
         if self.multiplier == 0 or any(x == 0 for x in self.members):
             return False
@@ -117,23 +108,16 @@ def _apply_k1_letters(images: tuple[int, ...], letters) -> tuple[int, ...]:
 def _apply_k2_letters(a: int, members: frozenset[int], letters) -> tuple[int, ...]:
     na = -a
     out: list[int] = []
-
-    def push(x: int):
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-
     for x in letters:
         if x == a or x == na:
-            push(x)
+            out.append(x)
             continue
         if -x in members:
-            push(na)
-        push(x)
+            out.append(na)
+        out.append(x)
         if x in members:
-            push(a)
-    return tuple(out)
+            out.append(a)
+    return _reduce_tuple(out)
 
 
 def apply_aut(aut, w: Word) -> Word:

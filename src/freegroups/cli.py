@@ -140,12 +140,15 @@ def _cmd_mul(args) -> int:
     return 0
 
 
+def _answer(yes: bool, yes_text: str, no_text: str) -> int:
+    """Print the answer to a yes/no question; exit 0 means yes, 1 no."""
+    print(yes_text if yes else no_text)
+    return 0 if yes else 1
+
+
 def _cmd_conjugate(args) -> int:
-    if are_conjugate(parse_word(args.w1), parse_word(args.w2)):
-        print("conjugate")
-        return 0
-    print("not conjugate")
-    return 1
+    conjugate = are_conjugate(parse_word(args.w1), parse_word(args.w2))
+    return _answer(conjugate, "conjugate", "not conjugate")
 
 
 def _cmd_wgraph(args) -> int:
@@ -189,19 +192,12 @@ def _cmd_primitive(args) -> int:
         primitive = len(trace.final) == 1  # the empty word ends at length 0
     else:
         primitive = is_primitive(w, args.rank)
-    if primitive:
-        print("primitive")
-        return 0
-    print("not primitive")
-    return 1
+    return _answer(primitive, "primitive", "not primitive")
 
 
 def _cmd_nielsen(args) -> int:
-    if is_basis_pair_f2(parse_word(args.a), parse_word(args.b)):
-        print("basis pair")
-        return 0
-    print("not a basis pair")
-    return 1
+    basis = is_basis_pair_f2(parse_word(args.a), parse_word(args.b))
+    return _answer(basis, "basis pair", "not a basis pair")
 
 
 def _cmd_fold(args) -> int:
@@ -217,11 +213,7 @@ def _cmd_fold(args) -> int:
 
 def _cmd_member(args) -> int:
     g = build_subgroup_graph(_parse_words(args.subgroup), args.rank)
-    if g.contains(parse_word(args.word)):
-        print("member")
-        return 0
-    print("not a member")
-    return 1
+    return _answer(g.contains(parse_word(args.word)), "member", "not a member")
 
 
 def _cmd_density(args) -> int:

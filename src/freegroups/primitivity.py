@@ -297,11 +297,12 @@ def _minimize_letters(letters: tuple[int, ...], rank: int, verdict: bool = False
         if found is None:
             break
         aut, gain = found
-        if verdict and aut == last:
-            image, predicted = _power_image(aut.multiplier, aut.members, core)
+        move = (aut.multiplier, aut.members)
+        if verdict and move == last:
+            image, predicted = _power_image(*move, core)
             new_core = _cyclic_strip(_reduce_tuple(image))[0]
         else:
-            image = _apply_k2_letters(aut.multiplier, aut.members, core)
+            image = _apply_k2_letters(*move, core)
             new_core, predicted = _cyclic_strip(image)[0], len(core) + gain
         if len(new_core) != predicted:
             raise RuntimeError(
@@ -309,7 +310,7 @@ def _minimize_letters(letters: tuple[int, ...], rank: int, verdict: bool = False
                 f"{len(new_core)} applying {aut!r}"
             )
         steps.append((aut, len(new_core)))
-        core, last = new_core, aut
+        core, last = new_core, move
     return core, steps
 
 
