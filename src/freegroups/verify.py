@@ -105,8 +105,24 @@ def build_w(rank: int) -> Word:
     return w
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change once built; it pickles and copies
+    through its constructor."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("the table is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 class WijFamily(_FrozenRecord):
-    """The n^2 translating words e_i w e_j indexed by (i, j)."""
+    """The n^2 translating words e_i w e_j indexed by (i, j).  The family
+    keeps a read-only copy of the table, and hashes by rank and w."""
 
     __slots__ = ("rank", "w", "table")
 
@@ -117,7 +133,10 @@ class WijFamily(_FrozenRecord):
             )
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", _ReadOnlyDict(table))
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.w))
 
 
 def wij_family(rank: int) -> WijFamily:

@@ -206,6 +206,9 @@ class Word:
     def __hash__(self) -> int:
         return hash(self.letters)
 
+    def __reduce__(self):
+        return type(self), (self.letters,)
+
     def __str__(self) -> str:
         return format_word(self)
 
@@ -250,6 +253,9 @@ class CyclicWord:
 
     def __hash__(self) -> int:
         return hash(("cyclic", self.canonical().letters))
+
+    def __reduce__(self):
+        return type(self), (self.word,)
 
     def __str__(self) -> str:
         return format_word(self.word)

@@ -128,6 +128,23 @@ def test_apply_rejects_invalid_descriptor():
         apply_aut(MultiplierAut(1, frozenset({1, -1})), Word([2]))
 
 
+def test_validity_refuses_zero_and_non_int_letters():
+    assert not PermutationAut((0, 1)).is_valid()
+    assert not PermutationAut((1.0, 2)).is_valid()
+    assert not MultiplierAut(0, frozenset({0})).is_valid()
+    assert not MultiplierAut(1, frozenset({1, 0})).is_valid()
+    with pytest.raises(ValueError, match="invalid automorphism descriptor"):
+        apply_aut(PermutationAut((0, 1)), Word([1]))
+
+
+def test_apply_methods_match_apply_aut():
+    w = parse_word("abA")
+    s = PermutationAut((-2, 1))
+    assert s.apply(w) == apply_aut(s, w) == Word([-2, 1, 2])
+    t = MultiplierAut(1, frozenset({1, -2}))
+    assert t.apply(w) == apply_aut(t, w) == Word([2, -1])
+
+
 # ------------------------------------------------------------- enumeration
 
 def test_enumeration_counts():

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from freegroups import cli
+from freegroups import cli, verify
 from freegroups.cli import main
 
 
@@ -256,6 +256,31 @@ def test_verify_json_file(capsys, tmp_path):
     assert data[0]["claim_id"] == "fincov"
     assert data[0]["stats"]["seconds"] == 0.0
     assert f"wrote {target}" in out
+
+
+def test_verify_failing_claim_exits_1(capsys, tmp_path, monkeypatch):
+    # a primitivity test that says yes to every word breaks claimII
+    monkeypatch.setattr(verify, "is_primitive", lambda w, rank: True)
+    witnesses = ["b^3c^2", "c^2", "b^3c^3d^2", "d^2"]
+    report = verify.verify_claim_two(2)
+    assert report.status == "fail" and not report.passed
+    assert report.counterexamples == witnesses
+    target = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "claimII", "--truncation", "2", "--json", str(target))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("claimII [truncation=2] fail (4 checked, ")
+    assert lines[1:] == [f"  counterexample: {w}" for w in witnesses] + [f"wrote {target}"]
+    expected = [
+        {
+            "claim_id": "claimII",
+            "counterexamples": witnesses,
+            "parameters": {"truncation": 2},
+            "stats": {"seconds": 0.0, "words_checked": 4},
+            "status": "fail",
+        }
+    ]
+    assert target.read_text() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 def test_verify_section3(capsys):

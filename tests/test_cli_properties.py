@@ -104,7 +104,7 @@ def in_dir(args, tmp) -> list:
 
 @settings(max_examples=300)  # 60 examples draw too few output paths
 @given(argv())
-def test_no_argv_exits_3(args):
+def test_random_argv_never_exits_3(args):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

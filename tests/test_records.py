@@ -3,8 +3,9 @@
 Each class is built by position and by keyword, compares by value only
 against its own class, hashes by value when frozen and refuses hashing
 otherwise, refuses assignment and deletion of a frozen field, prints its
-pinned repr, and survives pickle, copy and deepcopy.  A subprocess also
-checks that importing the package loads no code-generating module.
+pinned repr, and survives pickle at every protocol, copy and deepcopy, as
+do the words the records hold.  A subprocess also checks that importing
+the package loads no code-generating module.
 """
 
 import copy
@@ -136,9 +137,8 @@ def test_frozen_classes_hash_by_value():
     assert hash(MultiplierAut(1, MEMBERS)) == hash(MultiplierAut(1, frozenset({-2, 1})))
     assert hash(CutVertexVerdict(True, None, False)) == hash(CutVertexVerdict(True, None, False))
     assert len({MultiplierAut(1, MEMBERS), MultiplierAut(1, frozenset(MEMBERS))}) == 1
-    # a frozen class hashes its fields, so an unhashable field makes it unhashable
-    with pytest.raises(TypeError):
-        hash(WijFamily(2, W, TABLE))
+    # a family hashes by rank and w, and keeps its table read-only
+    assert hash(WijFamily(2, W, TABLE)) == hash(wij_family(2))
 
 
 @pytest.mark.parametrize(
@@ -168,8 +168,7 @@ def test_frozen_fields_refuse_assignment_and_deletion(cls, args, kwargs, text):
 @pytest.mark.parametrize("cls, args, kwargs, text", CASES, ids=IDS)
 def test_pickle_and_copy_round_trips(cls, args, kwargs, text):
     obj = cls(*args)
-    # protocols 0 and 1 cannot pickle a Word, which has slots and no state hooks
-    for proto in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for proto in range(0, pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(obj, proto))
         assert type(back) is cls and back == obj and repr(back) == text
     assert copy.copy(obj) == obj and repr(copy.copy(obj)) == text
@@ -217,3 +216,37 @@ def test_import_loads_no_code_generation():
     ).stdout.split()
     assert "freegroups.cli" in out
     assert "dataclasses" not in out and "inspect" not in out
+
+
+@pytest.mark.parametrize("obj", [Word(), Word([1, -2, 3]), CyclicWord([2, 1, 1])], ids=repr)
+def test_words_pickle_and_copy_at_every_protocol(obj):
+    for proto in range(0, pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(obj, proto))
+        assert type(back) is type(obj) and back == obj and repr(back) == repr(obj)
+    assert copy.copy(obj) == obj and copy.deepcopy(obj) == obj
+
+
+def test_wij_family_table_is_read_only():
+    source = dict(TABLE)
+    fam = WijFamily(2, W, source)
+    source.clear()  # the family holds a copy of its own
+    assert fam.table[1, 2] == TABLE[1, 2] and fam.table == TABLE
+    assert sorted(fam.table) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert list(fam.table.values()) == list(TABLE.values())
+    changes = [
+        lambda t: t.__setitem__((1, 1), W),
+        lambda t: t.__delitem__((1, 1)),
+        lambda t: t.clear(),
+        lambda t: t.pop((1, 1)),
+        lambda t: t.popitem(),
+        lambda t: t.setdefault((3, 3), W),
+        lambda t: t.update({(3, 3): W}),
+    ]
+    for change in changes:
+        with pytest.raises(TypeError, match="read-only"):
+            change(fam.table)
+    with pytest.raises(TypeError, match="read-only"):
+        fam.table |= {}
+    assert fam == wij_family(2) and hash(fam) == hash(wij_family(2))
+    for back in (pickle.loads(pickle.dumps(fam.table, 0)), copy.deepcopy(fam.table)):
+        assert back == TABLE and type(back) is type(fam.table)

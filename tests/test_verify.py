@@ -113,6 +113,14 @@ def test_select_wij_frozen():
     assert select_wij(parse_word("ab"), fam2) == (1, 2)
 
 
+def test_select_wij_refuses_a_rank_1_family():
+    # wij_family(1) refuses, so build the family by hand
+    fam = WijFamily(1, Word([1]), {(1, 1): Word([1])})
+    assert select_wij(Word(), fam) == (1, 1)
+    with pytest.raises(ValueError, match="family rank must be >= 2"):
+        select_wij(Word([1]), fam)
+
+
 def test_selected_translate_always_clean():
     fam = wij_family(2)
     from freegroups.words import iter_reduced_words
@@ -382,6 +390,16 @@ def test_lemma38_small():
     r = verify_lemma38(3)
     assert r.passed
     assert r.stats["words_checked"] == 6
+
+
+def test_stacked_family_words():
+    # c_k = e1 e2^3 ... e_k^3 e_{k+1}^2 and the witness tail e2^3 ... e_{n+1}^3 e_{n+2}^2
+    assert [verify._c_word(k) for k in (1, 2, 3)] == [
+        parse_word(t) for t in ("ab^2", "ab^3c^2", "ab^3c^3d^2")
+    ]
+    assert [verify._power_tail(n) for n in (0, 1, 2)] == [
+        parse_word(t) for t in ("b^2", "b^3c^2", "b^3c^3d^2")
+    ]
 
 
 def test_section3_composite():

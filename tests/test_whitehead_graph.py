@@ -102,6 +102,13 @@ def test_rejects_index_above_rank():
         WhiteheadGraph(0)
 
 
+def test_rejects_edge_off_the_alphabet():
+    with pytest.raises(ValueError, match="vertex 3 not a letter of rank 2"):
+        WhiteheadGraph(2, [(3, 1)])
+    with pytest.raises(ValueError, match="vertex 0 not a letter of rank 2"):
+        WhiteheadGraph(2, [(1, 0)])
+
+
 def test_edge_count_equals_length_random():
     rng = random.Random(21)
     for _ in range(2000):

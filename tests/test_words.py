@@ -125,6 +125,14 @@ def test_word_rejects_zero_and_nonints():
 
 # ------------------------------------------------------- multiply / invert
 
+def test_word_indexing_slicing_and_truth():
+    w = parse_word("abC")
+    assert (w[0], w[1], w[-1]) == (1, 2, -3)
+    assert w[1:] == Word([2, -3]) and type(w[:1]) is Word
+    assert w[::-1].letters == (-3, 2, 1)
+    assert w and w[2:] and not w[3:] and not Word()
+
+
 def test_multiply_concatenates():
     u = parse_word("abb")
     v = parse_word("bcc")
@@ -449,6 +457,11 @@ def test_ball_order_is_by_length_then_lex():
     assert words[1].letters == (1,)
     assert words[2].letters == (-1,)
     assert words[3].letters == (2,)
+
+
+def test_ball_rejects_negative_length():
+    with pytest.raises(ValueError, match="max_len must be >= 0, got -1"):
+        list(iter_reduced_words(2, -1))
 
 
 def test_ball_excludes_empty_when_asked():
