@@ -106,8 +106,8 @@ def build_w(rank: int) -> Word:
 
 
 class _ReadOnlyDict(dict):
-    """A dict that refuses every change once built; it pickles and copies
-    through its constructor."""
+    """A dict that refuses every change once built.  A MappingProxyType can
+    be neither pickled nor deep-copied; this goes through its constructor."""
 
     __slots__ = ()
 
