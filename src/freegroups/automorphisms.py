@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-from .words import Word, _FrozenRecord, _reduce_tuple, check_rank
+from .words import Word, _FrozenRecord, _is_letter, _reduce_tuple, check_rank
 from .words import letter_key, letter_name, letter_order
 
 RANK_CAP = 8  # enumerate_kind2 refuses anything bigger
@@ -41,7 +41,7 @@ class PermutationAut(_FrozenRecord):
     def is_valid(self) -> bool:
         if not self.images:
             return False
-        if any(not isinstance(x, int) or x == 0 for x in self.images):
+        if not all(map(_is_letter, self.images)):
             return False
         return sorted(abs(x) for x in self.images) == list(
             range(1, len(self.images) + 1)
@@ -74,7 +74,7 @@ class MultiplierAut(_FrozenRecord):
         object.__setattr__(self, "members", members)
 
     def is_valid(self) -> bool:
-        if self.multiplier == 0 or any(x == 0 for x in self.members):
+        if not _is_letter(self.multiplier) or not all(map(_is_letter, self.members)):
             return False
         return self.multiplier in self.members and -self.multiplier not in self.members
 

@@ -363,24 +363,23 @@ class _VerdictCache:
         self._class_of: dict[tuple[int, ...], int] = {}
         self.primitive: list[bool] = []
 
-    def classify(self, core: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        """(least rotation, class index) of a nonempty cyclically reduced
-        core; primitive[class index] is the class's verdict."""
-        key = canonical_rotation(core)
+    def classify(self, key: tuple[int, ...]) -> int:
+        """Class index of a nonempty cyclically reduced core given as its
+        least rotation; primitive[class index] is the class's verdict."""
         cls = self._class_of.get(key)
         if cls is None:
             cls = len(self.primitive)
-            self.primitive.append(len(_minimize_letters(core, self.rank, verdict=True)[0]) == 1)
+            self.primitive.append(len(_minimize_letters(key, self.rank, verdict=True)[0]) == 1)
             for images in self._kind1:
                 image = _apply_k1_letters(images, key)
                 self._class_of[canonical_rotation(image)] = cls
                 self._class_of[canonical_rotation(tuple(-x for x in reversed(image)))] = cls
-        return key, cls
+        return cls
 
     def is_primitive(self, w: Word) -> bool:
         """is_primitive(w, rank) for a word of the cache's rank."""
         core = _cyclic_strip(w.letters)[0]
-        return bool(core) and self.primitive[self.classify(core)[1]]
+        return bool(core) and self.primitive[self.classify(canonical_rotation(core))]
 
 
 # least rotations of the cores of [e1, e2] and of its inverse [e2, e1]

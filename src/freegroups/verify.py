@@ -1,8 +1,10 @@
 """Batch checks that sweep word balls and report pass or fail.
 
-Each checker enumerates an exhaustive ball of reduced words (never a
-sample), tests one combinatorial claim on every element, and returns a
-VerificationReport.  Claim identifiers are short opaque tags; the claim
+Each checker covers an exhaustive ball of reduced words (never a
+sample) and returns a VerificationReport.  Most test their claim on every
+word; prop24 and primitive_density visit each rotation class of cyclic
+cores once and count its words exactly, since their claims depend on the
+core's class alone.  Claim identifiers are short opaque tags; the claim
 table at the end of this module fixes them, with each claim's standard
 grid and caps.  Status is "pass" exactly when the counterexample list is
 empty.
@@ -19,7 +21,7 @@ import json
 import time
 from functools import cache
 from itertools import product
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .primitivity import (
     _minimize_letters,
@@ -35,8 +37,10 @@ from .words import (
     _FrozenRecord,
     _Record,
     _cyclic_strip,
+    count_reduced_words,
     format_word,
     iter_reduced_words,
+    letter_order,
 )
 
 
@@ -351,30 +355,96 @@ def _prop24(rank: int, max_len: int):
     counterexamples = []
     checked = 0
     primitives = 0
-    separable_by_core: dict = {}
+    distinct = 0
     separable_by_class: dict = {}
-    for w in iter_reduced_words(rank, max_len, include_empty=False):
-        checked += 1
-        core = _cyclic_strip(w.letters)[0]
-        key, cls = verdicts.classify(core)
+    for core, words in _core_classes(rank, max_len):
+        count = sum(words)
+        checked += count
+        cls = verdicts.classify(core)
         if not verdicts.primitive[cls]:
             continue
-        primitives += 1
-        if key in separable_by_core:
-            continue
+        primitives += count
+        distinct += 1
         core_word = Word._wrap(core)
         separable = separable_by_class.get(cls)
         if separable is None:
             separable = build_whitehead_graph(core_word, rank).find_cut_vertex().separable
             separable_by_class[cls] = separable
-        separable_by_core[key] = separable
         if not separable:
             counterexamples.append(format_word(core_word))
     return counterexamples, {
         "words_checked": checked,
         "primitives_found": primitives,
-        "distinct_cores": len(separable_by_core),
+        "distinct_cores": distinct,
     }
+
+
+def _necklaces(rank: int, length: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The least rotation and the period of each rotation class of
+    cyclically reduced words of the given length >= 1, in letter order.
+
+    The Fredricksen-Kessler-Maiorana walk (Ruskey, Savage and Wang,
+    J. Algorithms 13, 1992), depth first over the reduced prenecklaces: one
+    of length t whose longest Lyndon prefix has length p grows by each
+    letter x >= a[t-p] that does not cancel a[t-1], keeping p when
+    x == a[t-p] and taking p = t + 1 otherwise.  At full length it is the
+    least of its p distinct rotations exactly when p divides the length,
+    and is kept when its last letter does not cancel its first.  Lazy, with
+    O(length) memory.
+
+    >>> list(_necklaces(2, 2))  # doctest: +NORMALIZE_WHITESPACE
+    [((1, 1), 1), ((1, 2), 2), ((1, -2), 2), ((-1, -1), 1), ((-1, 2), 2),
+     ((-1, -2), 2), ((2, 2), 1), ((-2, -2), 1)]
+    """
+    alphabet = letter_order(rank)
+    size = len(alphabet)
+    # (prenecklace, its Lyndon prefix length, its untried next letters);
+    # letters are positions in the alphabet, and x ^ 1 is the inverse of x
+    stack = [((), 0, iter(range(size)))]
+    while stack:
+        a, p, untried = stack[-1]
+        for x in untried:
+            if a and x == a[-1] ^ 1:
+                continue
+            b = a + (x,)
+            q = p if a and x == a[-p] else len(b)
+            if len(b) < length:
+                stack.append((b, q, iter(range(b[-q], size))))
+                break
+            if length % q == 0 and x ^ 1 != b[0]:
+                yield tuple(alphabet[y] for y in b), q
+        else:
+            stack.pop()
+
+
+def _core_classes(rank: int, max_len: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """(least rotation, words) for each rotation class of nonempty
+    cyclically reduced cores of length <= max_len, in the order a sweep of
+    the ball first meets them: by length, then in letter order.
+
+    A reduced word is u c u^-1 for one cyclically reduced c, and such a
+    product is reduced exactly when the last letter of u is neither c[0]^-1
+    nor c[-1].  So each of the p rotations of a class of period p is the
+    core of (2n-2)(2n-1)^(k-1) words with |u| = k >= 1, and words[k] counts
+    the words of the ball with |u| = k and core in the class.  Raises
+    RuntimeError at the end unless the classes hold every nonempty word of
+    the ball.
+    """
+    n2 = 2 * rank
+    conjugators = [1] + [(n2 - 2) * (n2 - 1) ** (k - 1) for k in range(1, max_len // 2 + 1)]
+    counted = 0
+    for length in range(1, max_len + 1):
+        per_core = conjugators[: (max_len - length) // 2 + 1]
+        for core, period in _necklaces(rank, length):
+            words = [period * c for c in per_core]
+            counted += sum(words)
+            yield core, words
+    expected = count_reduced_words(rank, max_len) - 1
+    if counted != expected:
+        raise RuntimeError(
+            f"the rotation classes of the rank {rank} ball up to length {max_len}"
+            f" hold {counted} words, not {expected}"
+        )
 
 
 def verify_nielsen_xcheck(max_pair_len: int) -> VerificationReport:
@@ -542,10 +612,12 @@ def primitive_density(rank: int, max_len: int):
     verdicts = _VerdictCache(rank)
     totals = [0] * (max_len + 1)
     prims = [0] * (max_len + 1)
-    for w in iter_reduced_words(rank, max_len, include_empty=False):
-        totals[len(w)] += 1
-        if verdicts.is_primitive(w):
-            prims[len(w)] += 1
+    for core, words in _core_classes(rank, max_len):
+        primitive = verdicts.primitive[verdicts.classify(core)]
+        for k, count in enumerate(words):
+            totals[len(core) + 2 * k] += count
+            if primitive:
+                prims[len(core) + 2 * k] += count
     return [
         (length, prims[length], totals[length], prims[length] / totals[length])
         for length in range(1, max_len + 1)

@@ -56,6 +56,11 @@ def check_rank(letters: Iterable[int], rank: int) -> None:
             raise ValueError(f"letter {letter_name(x)} exceeds rank {rank}")
 
 
+def _is_letter(x) -> bool:
+    # a nonzero int; bool is an int subclass but no letter
+    return isinstance(x, int) and not isinstance(x, bool) and x != 0
+
+
 def _reduce_tuple(seq: Iterable[int]) -> tuple[int, ...]:
     # single pass with a stack; cancels pairs x, -x as they meet
     out: list[int] = []
@@ -147,7 +152,7 @@ class Word:
     def __init__(self, letters: Iterable[int] = ()):
         lets = tuple(letters)
         for x in lets:
-            if not isinstance(x, int) or isinstance(x, bool) or x == 0:
+            if not _is_letter(x):
                 raise ValueError(f"letters must be nonzero integers, got {x!r}")
         self.letters = _reduce_tuple(lets)
 

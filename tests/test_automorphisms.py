@@ -137,6 +137,22 @@ def test_validity_refuses_zero_and_non_int_letters():
         apply_aut(PermutationAut((0, 1)), Word([1]))
 
 
+def test_validity_refuses_float_and_bool_letters():
+    # 1.0 == 1 and True == 1, so only the type tells them from letters
+    for aut in (
+        MultiplierAut(1.0, frozenset({1.0, -2})),
+        MultiplierAut(1, frozenset({1, -2.0})),
+        MultiplierAut(True, frozenset({True, -2})),
+        PermutationAut((True, 2)),
+        PermutationAut((1, 2.0)),
+    ):
+        assert not aut.is_valid()
+    with pytest.raises(ValueError, match="invalid automorphism descriptor"):
+        apply_aut(MultiplierAut(1.0, frozenset({1.0, -2})), Word([2]))
+    with pytest.raises(ValueError, match="invalid automorphism descriptor"):
+        apply_aut(PermutationAut((True, 2)), Word([1]))
+
+
 def test_apply_methods_match_apply_aut():
     w = parse_word("abA")
     s = PermutationAut((-2, 1))

@@ -100,7 +100,7 @@ def test_cache_refuses_ranks_past_its_cap():
             _VerdictCache(rank)
 
 
-@pytest.mark.parametrize("rank,max_len", [(2, 7), (3, 5)])
+@pytest.mark.parametrize("rank,max_len", [(2, 7), (3, 5), (2, 8), (3, 6)])
 def test_prop24_report_matches_cacheless_reference(rank, max_len):
     assert verify_prop24(rank, max_len).to_json() == reference_prop24(rank, max_len).to_json()
 
@@ -120,7 +120,7 @@ def test_prop24_counterexamples_match_reference(monkeypatch):
         assert got.to_json() == reference_prop24(rank, max_len).to_json()
 
 
-@pytest.mark.parametrize("rank,max_len", [(1, 6), (2, 7), (3, 5)])
+@pytest.mark.parametrize("rank,max_len", [(1, 6), (2, 7), (3, 5), (2, 8), (3, 6)])
 def test_density_matches_cacheless_reference(rank, max_len):
     assert primitive_density(rank, max_len) == reference_density(rank, max_len)
 

@@ -38,7 +38,13 @@ from freegroups.verify import (
     verify_section3,
     wij_family,
 )
-from freegroups.words import Word, iter_reduced_words, parse_word
+from freegroups.words import (
+    Word,
+    _cyclic_strip,
+    canonical_rotation,
+    iter_reduced_words,
+    parse_word,
+)
 
 
 # --- seed word and family ---
@@ -363,6 +369,40 @@ def test_prop24_caps():
         verify_prop24(3, 7)
     with pytest.raises(ValueError):
         verify_prop24(1, 2)
+
+
+def reference_necklaces(rank, max_len):
+    # length -> {least rotation: its distinct rotations}, keys in the order
+    # the ball first meets them
+    classes = {length: {} for length in range(1, max_len + 1)}
+    for w in iter_reduced_words(rank, max_len, include_empty=False):
+        core = _cyclic_strip(w.letters)[0]
+        if core == w.letters:
+            classes[len(core)].setdefault(canonical_rotation(core), set()).add(core)
+    return classes
+
+
+@pytest.mark.parametrize("rank,max_len", [(1, 8), (2, 8), (3, 7), (4, 4)])
+def test_necklaces_match_brute_force(rank, max_len):
+    for length, classes in reference_necklaces(rank, max_len).items():
+        expected = [(key, len(rotations)) for key, rotations in classes.items()]
+        assert list(verify._necklaces(rank, length)) == expected, length
+
+
+def test_sweeps_refuse_a_lost_class(monkeypatch):
+    necklaces = verify._necklaces
+
+    def dropping(rank, length):
+        found = necklaces(rank, length)
+        if length == 3:
+            next(found)  # e1^3, the core of one word of length <= 4
+        return found
+
+    monkeypatch.setattr(verify, "_necklaces", dropping)
+    with pytest.raises(RuntimeError, match="hold 159 words, not 160"):
+        verify_prop24(2, 4)
+    with pytest.raises(RuntimeError, match="not 160"):
+        primitive_density(2, 4)
 
 
 def test_nielsen_xcheck_small():
