@@ -36,7 +36,6 @@ from .words import (
     Word,
     _FrozenRecord,
     _Record,
-    _cyclic_strip,
     count_reduced_words,
     format_word,
     iter_reduced_words,
@@ -615,9 +614,10 @@ def primitive_density(rank: int, max_len: int):
     for core, words in _core_classes(rank, max_len):
         primitive = verdicts.primitive[verdicts.classify(core)]
         for k, count in enumerate(words):
-            totals[len(core) + 2 * k] += count
+            length = len(core) + 2 * k
+            totals[length] += count
             if primitive:
-                prims[len(core) + 2 * k] += count
+                prims[length] += count
     return [
         (length, prims[length], totals[length], prims[length] / totals[length])
         for length in range(1, max_len + 1)
