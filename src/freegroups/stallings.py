@@ -5,9 +5,11 @@ labeled digraph with a basepoint: vertex 0, edges (u, label, v) with labels
 in 1..rank, each edge read forwards as the generator and backwards as its
 inverse.  The builder wedges one loop per generator word at the basepoint,
 then folds until no vertex has two equally labeled edges in the same
-direction.  The vertices are renumbered by a breadth first scan on first
-use, the first read of edges, ==, hash, contains, to_json_dict or to_dot;
-until then the graph keeps the folded tables and knows only its counts.
+direction.  The graph keeps the folded tables for its whole life: the
+counts are read off them and contains() walks them.  The vertices are
+renumbered by a breadth first scan only on the first read of edges, ==,
+hash, to_json_dict, to_dot or a pickle, and the numbering is kept beside
+the tables.
 
 Folding is one union-find pass (Touikan 2006; Kapovich and Myasnikov
 2002).  Each vertex keeps a table from signed label to neighbour; writing
@@ -42,17 +44,19 @@ __all__ = ["SubgroupGraph", "build_subgroup_graph"]
 class SubgroupGraph:
     """Folded subgroup graph.  Vertex 0 is the basepoint.
 
-    Instances come from build_subgroup_graph, which hands over the folded
-    label tables and the counts; the canonical numbering is made on the
-    first read of edges and the tables are dropped then.  The public
-    constructor takes edges in any numbering with the basepoint at 0 and
-    checks their shape: the graph must be folded, with no two edges of one
-    label leaving, or entering, one vertex, and connected, with every
-    vertex reachable from the basepoint.  It then renumbers the edges
-    canonically, so it equals the folded graph of the same subgroup.
+    The label tables and their find are the one adjacency: the counts
+    come from them, contains walks them, and the canonical numbering is
+    made from them on the first read of edges and kept beside them.
+    build_subgroup_graph hands over the tables and find of _fold.  The
+    public constructor takes edges in any numbering with the basepoint at
+    0, writes them into tables whose find is the identity, and checks
+    their shape: the graph must be folded, with no two edges of one label
+    leaving, or entering, one vertex, and connected, with every vertex
+    reachable from the basepoint.  The numbering it makes for that check
+    is canonical, so it equals the folded graph of the same subgroup.
     """
 
-    __slots__ = ("rank", "num_vertices", "num_edges", "_edges", "_folded", "_trans")
+    __slots__ = ("rank", "num_vertices", "num_edges", "_tables", "_find", "_edges")
 
     def __init__(self, rank: int, num_vertices: int, edges):
         check_rank((), rank)
@@ -71,40 +75,30 @@ class SubgroupGraph:
                         f"{letter_name(x)}: the graph is not folded"
                     )
                 tables[end][x] = other
-        edges = _renumber(tables, lambda v: v, 0)
+        edges = _renumber(tables, _same)
         reached = 1 + max((max(u, v) for u, _, v in edges), default=0)
         if reached < num_vertices:
             raise ValueError(
                 f"{num_vertices - reached} of {num_vertices} vertices cannot be "
                 "reached from the basepoint"
             )
-        self.rank = rank
-        self.num_vertices = num_vertices
-        self.num_edges = len(edges)
-        self._edges = edges
-        self._folded = None
-        self._trans = None
+        self._set(rank, tables, _same, edges)
 
-    @classmethod
-    def _from_tables(cls, rank: int, tables: list, find) -> "SubgroupGraph":
-        """The graph of the folded label tables of _fold and its find."""
-        g = object.__new__(cls)
-        g.rank = rank
-        g.num_vertices = len(tables) - tables.count(None)
+    def _set(self, rank: int, tables: list, find, edges=None) -> None:
+        """Keep the label tables and find; the counts are read off them."""
+        self.rank = rank
+        self.num_vertices = len(tables) - tables.count(None)
         # each edge u -x-> v files +x in the table of u and -x in that of v
-        g.num_edges = sum(map(len, filter(None, tables))) // 2
-        g._edges = None
-        g._folded = (tables, find)
-        g._trans = None
-        return g
+        self.num_edges = sum(map(len, filter(None, tables))) // 2
+        self._tables = tables
+        self._find = find
+        self._edges = edges
 
     @property
     def edges(self) -> tuple:
         """The edges (u, label, v) in the canonical numbering, sorted."""
         if self._edges is None:
-            tables, find = self._folded
-            self._edges = _renumber(tables, find, find(0))
-            self._folded = None
+            self._edges = _renumber(self._tables, self._find)
         return self._edges
 
     def subgroup_rank(self) -> int:
@@ -114,26 +108,17 @@ class SubgroupGraph:
         # folded, so one vertex carries each of the rank labels at most once
         return self.num_vertices == 1 and self.num_edges == self.rank
 
-    def _transitions(self) -> dict:
-        if self._trans is None:
-            trans = {}
-            for u, label, v in self.edges:
-                trans[u, label] = v
-                trans[v, -label] = u
-            self._trans = trans
-        return self._trans
-
     def contains(self, w: Word) -> bool:
         """Whether the reduced word w lies in the subgroup."""
         check_rank(w.letters, self.rank)
-        trans = self._transitions()
-        cur = 0
+        tables, find = self._tables, self._find
+        base = cur = find(0)
         for x in w.letters:
-            nxt = trans.get((cur, x))
+            nxt = tables[cur].get(x)
             if nxt is None:
                 return False
-            cur = nxt
-        return cur == 0
+            cur = find(nxt)
+        return cur == base
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubgroupGraph):
@@ -219,12 +204,18 @@ def _fold(tables: list, pending: list, rng: Random | None):
     return find
 
 
-def _renumber(tables: list, find, base: int) -> tuple:
-    """Breadth first relabeling from the basepoint; neighbor order is by
-    label, outgoing before incoming (letter_key order on signed labels),
-    so equal graphs get equal numbers.  Vertices are numbered in the order
-    they are scanned, and each lists its outgoing edges by label, so the
-    edges come out sorted."""
+def _same(v: int) -> int:
+    """The find of tables that were never folded: each vertex is its class."""
+    return v
+
+
+def _renumber(tables: list, find) -> tuple:
+    """Breadth first relabeling from the basepoint's class find(0);
+    neighbor order is by label, outgoing before incoming (letter_key order
+    on signed labels), so equal graphs get equal numbers.  Vertices are
+    numbered in the order they are scanned, and each lists its outgoing
+    edges by label, so the edges come out sorted."""
+    base = find(0)
     order = {base: 0}
     queue = [base]
     edges = []
@@ -281,4 +272,6 @@ def build_subgroup_graph(
     # No trim: a Word is freely reduced, so its loop folds onto a reduced
     # closed walk at the basepoint; every edge lies on such a walk, hence
     # no vertex but the basepoint is left with degree <= 1.
-    return SubgroupGraph._from_tables(rank, tables, find)
+    g = object.__new__(SubgroupGraph)
+    g._set(rank, tables, find)
+    return g

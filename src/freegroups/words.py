@@ -300,11 +300,6 @@ def canonical_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
     return letters[i:] + letters[:i]
 
 
-def _is_rotation(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    # rotations of one another exactly when the least rotations agree
-    return len(a) == len(b) and canonical_rotation(a) == canonical_rotation(b)
-
-
 def commutator(u: Word, v: Word) -> Word:
     """The commutator u^-1 v^-1 u v, reduced."""
     return u.inverse() * v.inverse() * u * v
@@ -325,7 +320,9 @@ def cyclically_reduce(u: Word) -> tuple[CyclicWord, Word]:
 
 def are_conjugate(u: Word, v: Word) -> bool:
     """Whether u and v are conjugate: equal cyclic cores up to rotation."""
-    return _is_rotation(_cyclic_strip(u.letters)[0], _cyclic_strip(v.letters)[0])
+    a, b = _cyclic_strip(u.letters)[0], _cyclic_strip(v.letters)[0]
+    # rotations of one another exactly when the least rotations agree
+    return len(a) == len(b) and canonical_rotation(a) == canonical_rotation(b)
 
 
 def parse_word(text: str, rank: int | None = None) -> Word:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from freegroups.automorphisms import MultiplierAut, apply_aut, enumerate_kind1, enumerate_kind2
 from freegroups.primitivity import _minimize_letters, is_basis_pair_f2, is_primitive
-from freegroups.stallings import build_subgroup_graph
+from freegroups.stallings import SubgroupGraph, build_subgroup_graph
 from freegroups.whitehead_graph import build_whitehead_graph
 from freegroups.words import Word, are_conjugate, commutator, format_word, parse_word
 
@@ -74,6 +74,29 @@ def test_fold_contains_products_of_generators(case, data):
             product = product * (~g if invert else g)
     assert graph.contains(product)
     assert graph.contains(~product)
+
+
+# <a^2, a^3, abab> in rank 3: the loops a^2 and a^3 fold onto vertex 1,
+# whose table is the larger, so the basepoint's class is not vertex 0
+FIXED_WALKS = (
+    ("", True),  # the empty word
+    ("c", False),  # a miss at the first letter
+    ("ba", False),  # a walk that ends off the basepoint
+    ("BAB", True),  # every edge read backwards
+    ("aBABA", True),
+)
+
+
+@pytest.mark.parametrize("text, member", FIXED_WALKS)
+def test_fold_contains_fixed_walks(text, member):
+    folded = build_subgroup_graph([parse_word(t) for t in ("aa", "aaa", "abab")], 3)
+    assert folded._find(0) != 0
+    # the same graph with vertices 1 and 2 swapped from the canonical numbering
+    given = SubgroupGraph(3, 3, [(0, 1, 0), (0, 2, 2), (2, 1, 1), (1, 2, 0)])
+    for graph in (folded, given):
+        assert graph.contains(parse_word(text)) == member, text
+    assert folded._edges is None  # walked before it was ever numbered
+    assert folded == given
 
 
 @given(

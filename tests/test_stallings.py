@@ -327,12 +327,13 @@ def graph_answers(g, queries):
 
 
 def test_numbering_independent_of_first_read():
-    # the numbering is made on the first read of edges; reading the counts
-    # or the rose test first must not change any later answer
+    # the numbering is made on the first read of edges; reading the counts,
+    # the rose test or contains first must not change any later answer
     reads = (
         lambda g: g.generates_whole_group(),
         lambda g: g.num_vertices,
         lambda g: g.num_edges,
+        lambda g: g.contains(Word([1])),
     )
     for rank, gens, queries, default, _ in fold_corpus():
         default.edges  # the first read numbers it
@@ -355,6 +356,14 @@ def test_rose_test_numbers_only_candidate_roses():
     # every graph is folded, so the counts alone decide and none is numbered
     for rank, gens, _, g, _ in fold_corpus():
         g.generates_whole_group()
+        assert g._edges is None, gens
+
+
+def test_contains_never_numbers():
+    # contains walks the folded tables, so membership numbers no graph
+    for rank, gens, queries, g, _ in fold_corpus():
+        for q in queries:
+            g.contains(q)
         assert g._edges is None, gens
 
 
