@@ -170,5 +170,6 @@ def enumerate_kind2(rank: int) -> list[MultiplierAut]:
 
 
 def kind2_count(rank: int) -> int:
+    check_rank((), rank)
     return 2 * rank * 4 ** (rank - 1)
 

@@ -33,11 +33,10 @@ whitehead_minimize returns it:
     the same max-flow, which is the same set for every maximum flow.
 
 The policies pin traces only.  Callers that need just the verdict
-(is_primitive, the per-sweep verdict cache and the fincov ladder in
-verify) take the minimum cut side at every rank, and apply a move that
-comes back on two steps in a row as a power phi^m, m doubled while the
-cyclic length still drops.  A word like b a^k then takes a handful of
-steps instead of one per letter.  Every applied step is re-measured on
+(is_primitive and the sweeps in verify) take the minimum cut side at
+every rank, and apply a move that comes back on two steps in a row as a
+power phi^m, m doubled while the cyclic length still drops.  A word like
+b a^k then takes a handful of steps instead of one per letter.  Every applied step is re-measured on
 the actual word and checked against the predicted length.
 """
 
@@ -337,49 +336,6 @@ def is_primitive(w: Word, rank: int) -> bool:
         return False
     core, _ = _minimize_letters(w.letters, rank, verdict=True)
     return len(core) == 1
-
-
-class _VerdictCache:
-    """Primitivity verdicts of one exhaustive sweep, one per symmetry class.
-
-    Primitivity is invariant under rotation, inversion and signed
-    generator permutations, and so is the separability of the Whitehead
-    graph: a permutation relabels its vertices and inversion keeps its
-    edges.  A class is keyed by the least rotation of any of its cyclic
-    cores.  A miss minimizes the core once and files the class under the
-    least rotation of each kind 1 image and of its inverse, at most
-    2 * n! * 2^n keys.  Build one per sweep and drop it with the sweep.
-    The independent routes (is_primitive, whitehead_minimize and the orbit
-    oracle) never read it.
-    """
-
-    RANK_CAP = 3
-
-    def __init__(self, rank: int):
-        if not 1 <= rank <= self.RANK_CAP:
-            raise ValueError(f"verdict cache rank cap is {self.RANK_CAP}, got {rank}")
-        self.rank = rank
-        self._kind1 = [t.images for t in enumerate_kind1(rank)]
-        self._class_of: dict[tuple[int, ...], int] = {}
-        self.primitive: list[bool] = []
-
-    def classify(self, key: tuple[int, ...]) -> int:
-        """Class index of a nonempty cyclically reduced core given as its
-        least rotation; primitive[class index] is the class's verdict."""
-        cls = self._class_of.get(key)
-        if cls is None:
-            cls = len(self.primitive)
-            self.primitive.append(len(_minimize_letters(key, self.rank, verdict=True)[0]) == 1)
-            for images in self._kind1:
-                image = _apply_k1_letters(images, key)
-                self._class_of[canonical_rotation(image)] = cls
-                self._class_of[canonical_rotation(tuple(-x for x in reversed(image)))] = cls
-        return cls
-
-    def is_primitive(self, w: Word) -> bool:
-        """is_primitive(w, rank) for a word of the cache's rank."""
-        core = _cyclic_strip(w.letters)[0]
-        return bool(core) and self.primitive[self.classify(canonical_rotation(core))]
 
 
 # least rotations of the cores of [e1, e2] and of its inverse [e2, e1]

@@ -4,10 +4,11 @@ Each checker covers an exhaustive ball of reduced words (never a
 sample) and returns a VerificationReport.  Most test their claim on every
 word; prop24 and primitive_density visit each rotation class of cyclic
 cores once and count its words exactly, since their claims depend on the
-core's class alone.  Claim identifiers are short opaque tags; the claim
-table at the end of this module fixes them, with each claim's standard
-grid and caps.  Status is "pass" exactly when the counterexample list is
-empty.
+core's class alone.  They and nielsen-xcheck settle primitivity once per
+symmetry class, through a classifier that lives for one sweep.  Claim
+identifiers are short opaque tags; the claim table at the end of this
+module fixes them, with each claim's standard grid and caps.  Status is
+"pass" exactly when the counterexample list is empty.
 
 Reports serialize to stable JSON: keys sorted, two space indent, trailing
 newline, and the measured wall time zeroed out, so a rerun with identical
@@ -23,19 +24,16 @@ from functools import cache
 from itertools import product
 from typing import Callable, Iterator, NamedTuple
 
-from .primitivity import (
-    _minimize_letters,
-    _VerdictCache,
-    is_basis_pair_f2,
-    is_primitive,
-    whitehead_minimize,
-)
+from .automorphisms import _apply_k1_letters, enumerate_kind1
+from .primitivity import _minimize_letters, is_basis_pair_f2, is_primitive, whitehead_minimize
 from .stallings import build_subgroup_graph
 from .whitehead_graph import WhiteheadGraph, build_whitehead_graph
 from .words import (
     Word,
     _FrozenRecord,
     _Record,
+    _cyclic_strip,
+    canonical_rotation,
     count_reduced_words,
     format_word,
     iter_reduced_words,
@@ -350,17 +348,15 @@ def verify_prop24(rank: int, max_len: int) -> VerificationReport:
 
 
 def _prop24(rank: int, max_len: int):
-    verdicts = _VerdictCache(rank)
     counterexamples = []
     checked = 0
     primitives = 0
     distinct = 0
     separable_by_class: dict = {}
-    for core, words in _core_classes(rank, max_len):
+    for core, words, cls, primitive in _core_classes(rank, max_len):
         count = sum(words)
         checked += count
-        cls = verdicts.classify(core)
-        if not verdicts.primitive[cls]:
+        if not primitive:
             continue
         primitives += count
         distinct += 1
@@ -416,10 +412,40 @@ def _necklaces(rank: int, length: int) -> Iterator[tuple[tuple[int, ...], int]]:
             stack.pop()
 
 
-def _core_classes(rank: int, max_len: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """(least rotation, words) for each rotation class of nonempty
-    cyclically reduced cores of length <= max_len, in the order a sweep of
-    the ball first meets them: by length, then in letter order.
+def _symmetry_classifier(rank: int) -> Callable[[tuple[int, ...]], tuple[tuple, bool]]:
+    """A function classify(least rotation) -> (class, primitive) for the
+    cyclically reduced cores of one sweep, one verdict per symmetry class.
+
+    Primitivity is invariant under rotation, inversion and signed
+    generator permutations, and so is the separability of the Whitehead
+    graph: a permutation relabels its vertices and inversion keeps its
+    edges.  A class is named by the first of its cores classified.  A miss
+    minimizes that core once and files the class under the least rotation
+    of each kind 1 image and of its inverse, at most 2 * n! * 2^n keys.
+    The filed classes live in the closure: make one classifier per sweep.
+    """
+    kind1 = [t.images for t in enumerate_kind1(rank)]
+    filed: dict[tuple[int, ...], tuple[tuple, bool]] = {}
+
+    def classify(key: tuple[int, ...]) -> tuple[tuple, bool]:
+        entry = filed.get(key)
+        if entry is None:
+            entry = key, len(_minimize_letters(key, rank, verdict=True)[0]) == 1
+            for images in kind1:
+                image = _apply_k1_letters(images, key)
+                filed[canonical_rotation(image)] = entry
+                filed[canonical_rotation(tuple(-x for x in reversed(image)))] = entry
+        return entry
+
+    return classify
+
+
+def _core_classes(rank: int, max_len: int) -> Iterator[tuple[tuple, list[int], tuple, bool]]:
+    """(least rotation, words, class, primitive) for each rotation class
+    of nonempty cyclically reduced cores of length <= max_len, in the
+    order a sweep of the ball first meets them: by length, then in letter
+    order.  class and primitive are the symmetry class of the core and its
+    verdict, from one _symmetry_classifier per call.
 
     A reduced word is u c u^-1 for one cyclically reduced c, and such a
     product is reduced exactly when the last letter of u is neither c[0]^-1
@@ -431,13 +457,15 @@ def _core_classes(rank: int, max_len: int) -> Iterator[tuple[tuple[int, ...], li
     """
     n2 = 2 * rank
     conjugators = [1] + [(n2 - 2) * (n2 - 1) ** (k - 1) for k in range(1, max_len // 2 + 1)]
+    classify = _symmetry_classifier(rank)
     counted = 0
     for length in range(1, max_len + 1):
         per_core = conjugators[: (max_len - length) // 2 + 1]
         for core, period in _necklaces(rank, length):
             words = [period * c for c in per_core]
             counted += sum(words)
-            yield core, words
+            cls, primitive = classify(core)
+            yield core, words, cls, primitive
     expected = count_reduced_words(rank, max_len) - 1
     if counted != expected:
         raise RuntimeError(
@@ -456,7 +484,11 @@ def verify_nielsen_xcheck(max_pair_len: int) -> VerificationReport:
 
 def _nielsen_xcheck(max_pair_len: int):
     ball = list(iter_reduced_words(2, max_pair_len, include_empty=True))
-    verdicts = _VerdictCache(2)
+    classify = _symmetry_classifier(2)
+
+    def primitive(w: Word) -> bool:
+        return classify(canonical_rotation(_cyclic_strip(w.letters)[0]))[1]
+
     counterexamples = []
     checked = 0
     basis_pairs = 0
@@ -471,7 +503,7 @@ def _nielsen_xcheck(max_pair_len: int):
             ok = by_commutator == by_rose
             if ok and by_commutator:
                 basis_pairs += 1
-                ok = verdicts.is_primitive(a) and verdicts.is_primitive(b)
+                ok = primitive(a) and primitive(b)
             if not ok:
                 counterexamples.append(f"({format_word(a)}, {format_word(b)})")
     return counterexamples, {"words_checked": checked, "basis_pairs": basis_pairs}
@@ -600,15 +632,10 @@ def primitive_density(rank: int, max_len: int):
     Returns rows (length, primitives, total, ratio) for lengths 1 through
     max_len.
     """
-    if not 1 <= rank <= _VerdictCache.RANK_CAP:
-        raise ValueError(f"rank must be in 1..{_VerdictCache.RANK_CAP}, got {rank}")
-    if not 1 <= max_len <= 8:
-        raise ValueError(f"max_len must be in 1..8, got {max_len}")
-    verdicts = _VerdictCache(rank)
+    _check_caps(_DENSITY_CAPS, {"rank": rank, "max_len": max_len})
     totals = [0] * (max_len + 1)
     prims = [0] * (max_len + 1)
-    for core, words in _core_classes(rank, max_len):
-        primitive = verdicts.primitive[verdicts.classify(core)]
+    for core, words, _, primitive in _core_classes(rank, max_len):
         for k, count in enumerate(words):
             length = len(core) + 2 * k
             totals[length] += count
@@ -623,14 +650,30 @@ def primitive_density(rank: int, max_len: int):
 # --- the claim table ---
 
 
+def _allowed(cap, params: dict):
+    return cap(params["rank"]) if callable(cap) else cap
+
+
+def _check_caps(caps: dict, params: dict) -> None:
+    """Raise ValueError unless every capped parameter has an allowed value."""
+    for name, cap in caps.items():
+        allowed = _allowed(cap, params)
+        if params[name] not in allowed:
+            if isinstance(allowed, range):
+                span = f"in {allowed.start}..{allowed[-1]}"
+            else:
+                span = " or ".join(map(str, allowed))
+            raise ValueError(f"{name} must be {span}, got {params[name]}")
+
+
 class _Claim(NamedTuple):
     """One claim: its sweep, its standard grid and the caps on its
     parameters.
 
     sweep takes the parameters by name and returns (counterexamples,
     stats).  A cap is a tuple of allowed values, a range, or a function of
-    the rank giving either.  length_param names the parameter that a
-    max_len override sets.
+    the rank giving either; _check_caps checks them.  length_param names
+    the parameter that a max_len override sets.
     """
 
     claim_id: str
@@ -640,18 +683,10 @@ class _Claim(NamedTuple):
     length_param: str = "max_len"
 
     def allowed(self, name: str, params: dict):
-        cap = self.caps[name]
-        return cap(params["rank"]) if callable(cap) else cap
+        return _allowed(self.caps[name], params)
 
     def run(self, **params) -> VerificationReport:
-        for name in self.caps:
-            allowed = self.allowed(name, params)
-            if params[name] not in allowed:
-                if isinstance(allowed, range):
-                    span = f"in {allowed.start}..{allowed[-1]}"
-                else:
-                    span = " or ".join(map(str, allowed))
-                raise ValueError(f"{name} must be {span}, got {params[name]}")
+        _check_caps(self.caps, params)
         t0 = time.perf_counter()
         counterexamples, stats = self.sweep(**params)
         return make_report(
@@ -673,6 +708,8 @@ _MAX_LEN = range(0, 7)
 # the three stacked-family claims, which verify_section3 runs together
 _STACKED_GRID = ({"truncation": 10},)
 _STACKED_CAPS = {"truncation": range(2, 11)}
+# primitive_density is no claim, but its caps are checked the same way
+_DENSITY_CAPS = {"rank": range(1, 4), "max_len": range(1, 9)}
 
 _CLAIMS = {
     c.claim_id: c

@@ -78,7 +78,9 @@ class WhiteheadGraph:
         return sum(sum(row.values()) for row in self._matrix) // 2
 
     def degree(self, v: int) -> int:
-        # a loop contributes 2
+        # a loop contributes 2; a letter of a generator that does not occur, 0
+        if v == 0 or abs(v) > self.rank:
+            raise ValueError(f"vertex {v} not a letter of rank {self.rank}")
         if v not in self._names:
             return 0
         return sum(self._matrix[self._names.index(v)].values())

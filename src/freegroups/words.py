@@ -466,5 +466,8 @@ def iter_reduced_words(
 def count_reduced_words(rank: int, max_len: int) -> int:
     """Number of reduced words of length <= max_len, the empty word included:
     1 + sum over k of 2n (2n-1)^(k-1)."""
+    check_rank((), rank)
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     n2 = 2 * rank
     return 1 + sum(n2 * (n2 - 1) ** (k - 1) for k in range(1, max_len + 1))

@@ -169,6 +169,15 @@ def test_enumeration_counts():
     assert len(enumerate_kind2(3)) == kind2_count(3) == 96
 
 
+@pytest.mark.parametrize("rank", [0, -2])
+def test_enumeration_count_refuses_what_the_enumeration_refuses(rank):
+    message = f"rank must be >= 1, got {rank}"
+    with pytest.raises(ValueError, match=message):
+        enumerate_kind2(rank)
+    with pytest.raises(ValueError, match=message):
+        kind2_count(rank)
+
+
 def test_enumeration_entries_distinct_and_valid():
     for rank in (1, 2, 3):
         auts = enumerate_kind2(rank)

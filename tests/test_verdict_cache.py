@@ -1,9 +1,10 @@
-"""The per-sweep verdict cache of the exhaustive sweeps.
+"""The symmetry-class verdicts of the exhaustive sweeps.
 
-It must give the plain minimizer's verdict word for word, leave every
-report unchanged, live for one sweep only, and stay out of the routes
-that check the minimizer independently.  The cacheless references below
-are the sweeps as they read before the cache, calling is_primitive once
+verify._symmetry_classifier settles each class of cyclic cores once.  It
+must give the plain minimizer's verdict word for word, leave every report
+unchanged, live for one sweep only, and stay out of the routes that check
+the minimizer independently.  The cacheless references below are the
+sweeps as they read before the class verdicts, calling is_primitive once
 per word.
 """
 
@@ -11,7 +12,6 @@ import pytest
 
 from freegroups import verify
 from freegroups.primitivity import (
-    _VerdictCache,
     is_basis_pair_f2,
     is_primitive,
     primitive_orbit_oracle,
@@ -25,7 +25,14 @@ from freegroups.verify import (
     verify_prop24,
 )
 from freegroups.whitehead_graph import CutVertexVerdict
-from freegroups.words import Word, cyclically_reduce, format_word, iter_reduced_words
+from freegroups.words import (
+    Word,
+    _cyclic_strip,
+    canonical_rotation,
+    cyclically_reduce,
+    format_word,
+    iter_reduced_words,
+)
 
 
 def reference_prop24(rank, max_len):
@@ -87,17 +94,39 @@ def reference_nielsen_xcheck(max_pair_len):
 
 @pytest.mark.parametrize("rank,max_len", [(2, 7), (3, 5)])
 def test_cached_verdicts_match_minimizer(rank, max_len):
-    cache = _VerdictCache(rank)
-    for w in iter_reduced_words(rank, max_len):
-        assert cache.is_primitive(w) == is_primitive(w, rank), w
-    # far fewer classes than words, or the cache saves nothing
-    assert 0 < len(cache.primitive) < sum(1 for _ in iter_reduced_words(rank, max_len)) // 10
+    classify = verify._symmetry_classifier(rank)
+    classes = set()
+    words = 0
+    for w in iter_reduced_words(rank, max_len, include_empty=False):
+        words += 1
+        cls, primitive = classify(canonical_rotation(_cyclic_strip(w.letters)[0]))
+        classes.add(cls)
+        assert primitive == is_primitive(w, rank), w
+    # far fewer classes than words, or the classes save nothing
+    assert 0 < len(classes) < words // 10
 
 
-def test_cache_refuses_ranks_past_its_cap():
-    for rank in (0, 4):
-        with pytest.raises(ValueError, match="verdict cache rank cap"):
-            _VerdictCache(rank)
+@pytest.mark.parametrize("rank,max_len", [(2, 6), (3, 4)])
+def test_classes_do_not_depend_on_walk_order(rank, max_len):
+    # a class must be filed the same whichever of its cores comes first
+    necklaces = [
+        core for length in range(1, max_len + 1) for core, _ in verify._necklaces(rank, length)
+    ]
+
+    def partition(order):
+        classify = verify._symmetry_classifier(rank)
+        blocks = {}
+        verdicts = {}
+        for core in order:
+            cls, verdicts[core] = classify(core)
+            blocks.setdefault(cls, set()).add(core)
+        return {frozenset(block) for block in blocks.values()}, verdicts
+
+    forward = partition(necklaces)
+    assert forward == partition(necklaces[::-1])
+    # classes join necklaces, and both verdicts occur
+    assert len(forward[0]) < len(necklaces)
+    assert set(forward[1].values()) == {True, False}
 
 
 @pytest.mark.parametrize("rank,max_len", [(2, 7), (3, 5), (2, 8), (3, 6)])
@@ -130,19 +159,19 @@ def test_nielsen_xcheck_report_matches_cacheless_reference():
 
 
 def test_each_sweep_builds_its_own_cache(monkeypatch):
-    built = []
+    minimize = verify._minimize_letters
+    calls = []
 
-    class Recording(_VerdictCache):
-        def __init__(self, rank):
-            super().__init__(rank)
-            built.append(self)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return minimize(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "_VerdictCache", Recording)
+    monkeypatch.setattr(verify, "_minimize_letters", counting)
     first = verify_prop24(2, 5)
+    first_calls = len(calls)
     second = verify_prop24(2, 5)
-    assert len(built) == 2 and built[0] is not built[1]
     # the second sweep started cold and settled every class again
-    assert len(built[0].primitive) == len(built[1].primitive) > 0
+    assert len(calls) - first_calls == first_calls > 0
     assert first.to_json() == second.to_json()
 
 
@@ -150,8 +179,7 @@ def test_independent_routes_never_touch_the_cache(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("verdict cache used")
 
-    for name in ("__init__", "classify", "is_primitive"):
-        monkeypatch.setattr(_VerdictCache, name, refuse)
+    monkeypatch.setattr(verify, "_symmetry_classifier", refuse)
     oracle = primitive_orbit_oracle(2, 6)
     assert Word([1, 2, 1, 2, 1]) in oracle and Word([1, 1]) not in oracle
     assert is_primitive(Word([1, 2, 1, 2, 1]), 2)

@@ -109,6 +109,16 @@ def test_rejects_edge_off_the_alphabet():
         WhiteheadGraph(2, [(1, 0)])
 
 
+def test_degree_refuses_what_the_constructor_refuses():
+    g = build_whitehead_graph(Word([1, 1]), 2)
+    assert [g.degree(v) for v in g.vertices] == [2, 2, 0, 0]
+    for v in (0, 3, -3, 99):
+        with pytest.raises(ValueError, match=f"vertex {v} not a letter of rank 2"):
+            g.degree(v)
+        with pytest.raises(ValueError, match=f"vertex {v} not a letter of rank 2"):
+            WhiteheadGraph(2, [(1, v)])
+
+
 def test_edge_count_equals_length_random():
     rng = random.Random(21)
     for _ in range(2000):

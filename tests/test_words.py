@@ -464,6 +464,21 @@ def test_ball_rejects_negative_length():
         list(iter_reduced_words(2, -1))
 
 
+@pytest.mark.parametrize(
+    "rank,max_len,message",
+    [
+        (-1, 3, "rank must be >= 1, got -1"),
+        (0, 2, "rank must be >= 1, got 0"),
+        (2, -4, "max_len must be >= 0, got -4"),
+    ],
+)
+def test_ball_count_refuses_what_the_walk_refuses(rank, max_len, message):
+    with pytest.raises(ValueError, match=message):
+        list(iter_reduced_words(rank, max_len))
+    with pytest.raises(ValueError, match=message):
+        count_reduced_words(rank, max_len)
+
+
 def test_ball_excludes_empty_when_asked():
     words = list(iter_reduced_words(2, 2, include_empty=False))
     assert all(len(w) >= 1 for w in words)
