@@ -205,18 +205,20 @@ def _enum_order_set(cap: list[dict[int, int]], a: int, d: int, side: set[int], c
     return side, cross
 
 
-def _find_move(core: tuple[int, ...], use_cut: bool):
+def _find_move(core: tuple[int, ...], use_cut: bool, cap: list[dict[int, int]] | None = None):
     """First improving kind 2 move on a cyclic core as (automorphism,
     length change), or None when no move shortens it.  The move is the
     source side of the minimum cut nearest the multiplier when use_cut
     holds, and otherwise the first improving set in enumerate_kind2
-    order."""
+    order.  cap, when given, is the core's edge matrix as built below; it
+    is read, never changed."""
     # The matrix spans only the generators in the core.  A missing
     # generator has degree 0, so it never lies on a cut's source side, and
     # its first pattern, neither, always fits.
     gens = sorted({abs(x) for x in core})
     names = vertex_letters(gens)
-    cap = edge_matrix(whitehead_edges(core), gens)
+    if cap is None:
+        cap = edge_matrix(whitehead_edges(core), gens)
     # Vertices a and a^-1 have the same degree (every occurrence of a^{+-1}
     # meets both once) and the cut between them is symmetric, so a^-1 has
     # an improving set only when a, which comes first, already has one.
@@ -275,8 +277,18 @@ def _power_image(a: int, members: frozenset[int], core: tuple[int, ...]):
     return out, best
 
 
-def _minimize_letters(letters: tuple[int, ...], rank: int, verdict: bool = False):
+def _minimize_letters(
+    letters: tuple[int, ...],
+    rank: int,
+    verdict: bool = False,
+    matrix: list[dict[int, int]] | None = None,
+):
     """Greedy descent on the cyclic core.  Returns (terminal core, steps).
+
+    matrix, when given, is the first step's edge matrix: that of the
+    cyclic core of letters, edge_matrix(whitehead_edges(core), gens) over
+    the generators that occur in it, which a caller that already built it
+    hands over.  It is only read.  Every later step builds its own.
 
     Without verdict the steps are the trace: one move per step, chosen by
     the frozen policy of the rank.  With verdict only the terminal core
@@ -292,7 +304,8 @@ def _minimize_letters(letters: tuple[int, ...], rank: int, verdict: bool = False
     use_cut = verdict or rank > RANK_ENUM_LIMIT
     last = None
     while len(core) > 1:
-        found = _find_move(core, use_cut)
+        found = _find_move(core, use_cut, matrix)
+        matrix = None
         if found is None:
             break
         aut, gain = found
@@ -352,11 +365,16 @@ def is_basis_pair_f2(a: Word, b: Word) -> bool:
     [e2, e1], that is when its cyclic core has length 4 and the same least
     rotation as one of theirs.
     """
-    ab = a.letters + b.letters
-    check_rank(ab, 2)
+    check_rank(a.letters + b.letters, 2)
+    return _basis_pair_letters(a.letters, b.letters)
+
+
+def _basis_pair_letters(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """is_basis_pair_f2 on the letters of two reduced words of rank 2,
+    which are not checked here."""
     # a^-1 b^-1 is the inverse of b a
-    ba_inv = [-x for x in reversed(b.letters + a.letters)]
-    core = _cyclic_strip(_reduce_tuple(ba_inv + list(ab)))[0]
+    ba_inv = [-x for x in reversed(b + a)]
+    core = _cyclic_strip(_reduce_tuple(ba_inv + list(a + b)))[0]
     return len(core) == 4 and canonical_rotation(core) in _F2_COMMUTATOR_ROTATIONS
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from random import Random
 
-from .words import Word, check_rank, letter_key, letter_name
+from .words import Word, _is_letter, check_rank, letter_key, letter_name
 
 __all__ = ["SubgroupGraph", "build_subgroup_graph"]
 
@@ -60,13 +60,15 @@ class SubgroupGraph:
 
     def __init__(self, rank: int, num_vertices: int, edges):
         check_rank((), rank)
+        if not _is_index(num_vertices):
+            raise ValueError(f"vertex count must be an int, got {num_vertices!r}")
         if num_vertices < 1:
             raise ValueError("need at least the basepoint vertex")
         tables: list[dict] = [{} for _ in range(num_vertices)]
         for u, label, v in edges:
-            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+            if not all(_is_index(end) and 0 <= end < num_vertices for end in (u, v)):
                 raise ValueError(f"edge ({u}, {label}, {v}) off the vertex range")
-            if not 1 <= label <= rank:
+            if not _is_letter(label) or not 1 <= label <= rank:
                 raise ValueError(f"edge label {label} outside 1..{rank}")
             for end, x, other in ((u, label, v), (v, -label, u)):
                 if x in tables[end]:
@@ -204,6 +206,11 @@ def _fold(tables: list, pending: list, rng: Random | None):
     return find
 
 
+def _is_index(v) -> bool:
+    # a vertex number is an int; bool is an int subclass but no index
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _same(v: int) -> int:
     """The find of tables that were never folded: each vertex is its class."""
     return v
@@ -232,29 +239,19 @@ def _renumber(tables: list, find) -> tuple:
     return tuple(edges)
 
 
-def build_subgroup_graph(
-    generators, rank: int, rng: Random | None = None
-) -> SubgroupGraph:
-    """Fold the wedge of generator loops into a subgroup graph.
-
-    The loops are written into per-vertex label tables, and one union-find
-    pass over a queue of pending identifications folds them; see the
-    module docstring for why no trim step is needed.  rng, when given,
-    picks which pending identification to merge next; the result is the
-    same graph regardless, which the test suite leans on.
-    Empty generators are skipped; no generators at all gives the one vertex
-    graph of the trivial subgroup.
+def _fold_letters(words, rng: Random | None = None) -> tuple:
+    """Write the wedge of one loop per letter tuple in words at the
+    basepoint into label tables, fold it, and return (tables, find) as
+    _fold leaves them.  Each tuple must be a reduced word, and empty ones
+    are skipped; no letter is checked here.  The subgroup is the whole
+    group exactly when the folded graph is the rose: one live table,
+    find(0)'s, holding all 2 * rank signed labels.
     """
-    check_rank((), rank)
     tables: list = [{}]
     pending: list = []
-    for gen in generators:
-        if not isinstance(gen, Word):
-            raise TypeError(f"generators must be Word, got {type(gen).__name__}")
-        letters = gen.letters
+    for letters in words:
         if not letters:
             continue
-        check_rank(letters, rank)
         cur = 0
         for x in letters[:-1]:
             nxt = len(tables)
@@ -268,10 +265,34 @@ def build_subgroup_graph(
             held = tables[v].setdefault(y, w)
             if held != w:
                 pending.append((held, w))
-    find = _fold(tables, pending, rng)
-    # No trim: a Word is freely reduced, so its loop folds onto a reduced
-    # closed walk at the basepoint; every edge lies on such a walk, hence
-    # no vertex but the basepoint is left with degree <= 1.
+    # No trim: a reduced word's loop folds onto a reduced closed walk at
+    # the basepoint; every edge lies on such a walk, hence no vertex but
+    # the basepoint is left with degree <= 1.
+    return tables, _fold(tables, pending, rng)
+
+
+def build_subgroup_graph(
+    generators, rank: int, rng: Random | None = None
+) -> SubgroupGraph:
+    """Fold the wedge of generator loops into a subgroup graph.
+
+    The generators are checked here, then their letters go to
+    _fold_letters: the loops are written into per-vertex label tables,
+    and one union-find pass over a queue of pending identifications folds
+    them; see the module docstring for why no trim step is needed.  rng,
+    when given, picks which pending identification to merge next; the
+    result is the same graph regardless, which the test suite leans on.
+    Empty generators are skipped; no generators at all gives the one vertex
+    graph of the trivial subgroup.
+    """
+    check_rank((), rank)
+    words = []
+    for gen in generators:
+        if not isinstance(gen, Word):
+            raise TypeError(f"generators must be Word, got {type(gen).__name__}")
+        check_rank(gen.letters, rank)
+        words.append(gen.letters)
+    tables, find = _fold_letters(words, rng)
     g = object.__new__(SubgroupGraph)
     g._set(rank, tables, find)
     return g

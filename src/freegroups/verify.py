@@ -5,7 +5,11 @@ sample) and returns a VerificationReport.  Most test their claim on every
 word; prop24 and primitive_density visit each rotation class of cyclic
 cores once and count its words exactly, since their claims depend on the
 core's class alone.  They and nielsen-xcheck settle primitivity once per
-symmetry class, through a classifier that lives for one sweep.  Claim
+symmetry class, through a classifier that lives for one sweep.  The
+sweeps build their words from letters they already know are valid, so
+they call the letter-level routines beneath the public entries
+(_minimize_letters, _basis_pair_letters, _fold_letters, _separability),
+and no word is checked again per pair or per translate.  Claim
 identifiers are short opaque tags; the claim table at the end of this
 module fixes them, with each claim's standard grid and caps.  Status is
 "pass" exactly when the counterexample list is empty.
@@ -25,9 +29,9 @@ from itertools import product
 from typing import Callable, Iterator, NamedTuple
 
 from .automorphisms import _apply_k1_letters, enumerate_kind1
-from .primitivity import _minimize_letters, is_basis_pair_f2, is_primitive, whitehead_minimize
-from .stallings import build_subgroup_graph
-from .whitehead_graph import WhiteheadGraph, build_whitehead_graph
+from .primitivity import _basis_pair_letters, _minimize_letters, is_primitive, whitehead_minimize
+from .stallings import _fold_letters, build_subgroup_graph
+from .whitehead_graph import _separability, edge_matrix, whitehead_edges
 from .words import (
     Word,
     _FrozenRecord,
@@ -182,20 +186,31 @@ def verify_npbig(rank: int, max_len: int) -> VerificationReport:
     return _CLAIMS["npbig"].run(rank=rank, max_len=max_len)
 
 
+def _cyclic_matrix(core: tuple[int, ...]) -> list[dict[int, int]]:
+    """The edge matrix of the cyclic Whitehead graph of core over the
+    generators that occur in it, as the minimizer's first step builds it."""
+    return edge_matrix(whitehead_edges(core), sorted({abs(x) for x in core}))
+
+
 def _npbig(rank: int, max_len: int):
+    """The npbig sweep, on the letters of words built from the ball.  The
+    cut-vertex verdict and the minimizer's verdict on each translate are
+    two computations that share only the edge matrix both read."""
     fam = wij_family(rank)
     counterexamples = []
     checked = 0
     for a in iter_reduced_words(rank, max_len, include_empty=True):
         checked += 1
-        i, j = select_wij(a, fam)
-        wij = fam.table[i, j]
-        t = wij * a
-        ok = len(t) == len(wij) + len(a) and t.is_cyclically_reduced
+        w, x = fam.table[select_wij(a, fam)].letters, a.letters
+        # w and a are reduced, so w a is reduced of length |w| + |a| exactly
+        # when nothing cancels at the junction; w is never empty
+        t = w + x
+        ok = (not x or w[-1] != -x[0]) and t[0] != -t[-1]
         if ok:
-            ok = not build_whitehead_graph(t, rank).find_cut_vertex().separable
-        if ok:
-            ok = not is_primitive(t, rank)
+            m = _cyclic_matrix(t)
+            ok = not _separability(m, rank)[0]
+            if ok:
+                ok = len(_minimize_letters(t, rank, verdict=True, matrix=m)[0]) != 1
         if not ok:
             counterexamples.append(format_word(a))
     return counterexamples, {"words_checked": checked}
@@ -222,7 +237,8 @@ def _block_table(letters: tuple[int, ...], rank: int) -> tuple[int | None, ...]:
 
     def certified(p: int, e: int) -> bool:
         edges = [(letters[k], -letters[k + 1]) for k in range(p, e - 1)]
-        return not WhiteheadGraph(rank, edges).find_cut_vertex().separable
+        m = edge_matrix(edges, sorted({abs(x) for x in letters[p:e]}))
+        return not _separability(m, rank)[0]
 
     n = len(letters)
     return tuple(
@@ -360,13 +376,12 @@ def _prop24(rank: int, max_len: int):
             continue
         primitives += count
         distinct += 1
-        core_word = Word._wrap(core)
         separable = separable_by_class.get(cls)
         if separable is None:
-            separable = build_whitehead_graph(core_word, rank).find_cut_vertex().separable
+            separable = _separability(_cyclic_matrix(core), rank)[0]
             separable_by_class[cls] = separable
         if not separable:
-            counterexamples.append(format_word(core_word))
+            counterexamples.append(format_word(Word._wrap(core)))
     return counterexamples, {
         "words_checked": checked,
         "primitives_found": primitives,
@@ -483,11 +498,12 @@ def verify_nielsen_xcheck(max_pair_len: int) -> VerificationReport:
 
 
 def _nielsen_xcheck(max_pair_len: int):
-    ball = list(iter_reduced_words(2, max_pair_len, include_empty=True))
+    """The nielsen-xcheck sweep, on the letters of the rank 2 ball."""
+    ball = [w.letters for w in iter_reduced_words(2, max_pair_len, include_empty=True)]
     classify = _symmetry_classifier(2)
 
-    def primitive(w: Word) -> bool:
-        return classify(canonical_rotation(_cyclic_strip(w.letters)[0]))[1]
+    def primitive(letters: tuple[int, ...]) -> bool:
+        return classify(canonical_rotation(_cyclic_strip(letters)[0]))[1]
 
     counterexamples = []
     checked = 0
@@ -498,14 +514,17 @@ def _nielsen_xcheck(max_pair_len: int):
             if len(b) > budget:
                 break  # ball is sorted by length
             checked += 1
-            by_commutator = is_basis_pair_f2(a, b)
-            by_rose = build_subgroup_graph([a, b], 2).generates_whole_group()
+            by_commutator = _basis_pair_letters(a, b)
+            # the rose: one live vertex, whose table holds all four labels
+            tables, find = _fold_letters((a, b))
+            by_rose = len(tables) - tables.count(None) == 1 and len(tables[find(0)]) == 4
             ok = by_commutator == by_rose
             if ok and by_commutator:
                 basis_pairs += 1
                 ok = primitive(a) and primitive(b)
             if not ok:
-                counterexamples.append(f"({format_word(a)}, {format_word(b)})")
+                pair = ", ".join(format_word(Word._wrap(w)) for w in (a, b))
+                counterexamples.append(f"({pair})")
     return counterexamples, {"words_checked": checked, "basis_pairs": basis_pairs}
 
 

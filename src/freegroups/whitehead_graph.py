@@ -17,13 +17,15 @@ generators that occur; the minimizer reads the same matrix.  The letters of
 a missing generator are isolated, so the graph is then disconnected.  Cut
 vertices come from the usual low-link DFS over the matrix rows,
 _separation, with an explicit stack so that no rank reaches the recursion
-limit; loops never affect separation and are skipped there.  Only
-vertices and to_dot cost more with the rank.
+limit; loops never affect separation and are skipped there.
+_separability reads the verdict off any such matrix, so the sweeps in
+verify test a matrix they built without a WhiteheadGraph.  Only vertices
+and to_dot cost more with the rank.
 """
 
 from __future__ import annotations
 
-from .words import Word, _FrozenRecord, check_rank, letter_name, letter_order
+from .words import Word, _FrozenRecord, _is_letter, check_rank, letter_name, letter_order
 
 
 class CutVertexVerdict(_FrozenRecord):
@@ -49,8 +51,12 @@ class WhiteheadGraph:
         edges = list(edges)
         for x, y in edges:
             for v in (x, y):
-                if v == 0 or abs(v) > rank:
+                if not _is_letter(v) or abs(v) > rank:
                     raise ValueError(f"vertex {v} not a letter of rank {rank}")
+        self._set(rank, edges)
+
+    def _set(self, rank: int, edges: list) -> None:
+        """Keep the edge matrix of edges, whose letters fit under rank."""
         self.rank = rank
         gens = sorted({abs(v) for pair in edges for v in pair})
         self._names = vertex_letters(gens)
@@ -79,32 +85,25 @@ class WhiteheadGraph:
 
     def degree(self, v: int) -> int:
         # a loop contributes 2; a letter of a generator that does not occur, 0
-        if v == 0 or abs(v) > self.rank:
+        if not _is_letter(v) or abs(v) > self.rank:
             raise ValueError(f"vertex {v} not a letter of rank {self.rank}")
         if v not in self._names:
             return 0
         return sum(self._matrix[self._names.index(v)].values())
 
-    def _verdict(self) -> tuple[bool, list[int]]:
-        """(connected, cut vertices least first in letter order)."""
-        components, cuts = _separation(self._matrix)
-        connected = len(self._matrix) == 2 * self.rank and components == 1
-        return connected, [self._names[v] for v in cuts]
-
     def is_connected(self) -> bool:
-        return self._verdict()[0]
+        return _separability(self._matrix, self.rank)[1]
 
     def articulation_points(self) -> list[int]:
         """Cut vertices, least first in letter order; loops never count."""
-        return self._verdict()[1]
+        return [self._names[v] for v in _separability(self._matrix, self.rank)[2]]
 
     def find_cut_vertex(self) -> CutVertexVerdict:
-        connected, cuts = self._verdict()
-        cut = cuts[0] if cuts else None
+        separable, connected, cuts = _separability(self._matrix, self.rank)
         return CutVertexVerdict(
             connected=connected,
-            cut_vertex=cut,
-            separable=(not connected) or cut is not None,
+            cut_vertex=self._names[cuts[0]] if cuts else None,
+            separable=separable,
         )
 
     def to_dot(self) -> str:
@@ -166,6 +165,19 @@ def _separation(m: list[dict[int, int]]) -> tuple[int, list[int]]:
     return components, sorted(cuts)
 
 
+def _separability(m: list[dict[int, int]], rank: int) -> tuple[bool, bool, list[int]]:
+    """(separable, connected, cut vertices least first) of the Whitehead
+    graph at the given rank whose edge-count matrix m, as edge_matrix
+    gives it, spans the generators that occur.  The graph is connected
+    when every generator occurs, len(m) == 2 * rank, and _separation finds
+    one component; it is separable when it is not connected or has a cut
+    vertex.  The cut vertices are rows of m.  This is the one separability
+    test: WhiteheadGraph and the sweeps in verify both read it."""
+    components, cuts = _separation(m)
+    connected = len(m) == 2 * rank and components == 1
+    return not connected or bool(cuts), connected, cuts
+
+
 def whitehead_edges(letters: tuple[int, ...]) -> list[tuple[int, int]]:
     """Edge list for a letter sequence read cyclically: (ui, -u_{i+1}) for
     each position, the last letter pairing with the first.  The pairs are
@@ -216,4 +228,7 @@ def build_whitehead_graph(a: Word, rank: int) -> WhiteheadGraph:
     4
     """
     check_rank(a.letters, rank)
-    return WhiteheadGraph(rank, whitehead_edges(a.letters))
+    # a Word holds only letters, and check_rank has fit them under rank
+    g = object.__new__(WhiteheadGraph)
+    g._set(rank, whitehead_edges(a.letters))
+    return g

@@ -48,7 +48,11 @@ def letter_name(x: int) -> str:
 
 
 def check_rank(letters: Iterable[int], rank: int) -> None:
-    """Raise ValueError unless rank >= 1 and every letter fits under it."""
+    """Raise ValueError unless rank is an int >= 1 and every letter fits
+    under it.  A bool is an int subclass but no rank."""
+    # type() is int first: the common case costs one test on every call
+    if type(rank) is not int and (not isinstance(rank, int) or isinstance(rank, bool)):
+        raise ValueError(f"rank must be an int, got {rank!r}")
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     for x in letters:

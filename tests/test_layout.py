@@ -3,7 +3,9 @@
 Invariants are explicit checks that raise, never assert statements.  Only
 the command line and the package root import verify, so the reference
 deciders in primitivity (is_primitive, whitehead_minimize and the orbit
-oracle) cannot read the shortcuts of its sweeps.
+oracle) cannot read the shortcuts of its sweeps.  verify in turn reaches
+only the letter-level routines beneath the public entries that check
+every word.
 """
 
 import ast
@@ -51,6 +53,35 @@ def test_only_the_entry_points_import_verify():
         if "verify" in imported_modules(ast.parse(path.read_text()))
     }
     assert importers == {"cli.py", "__init__.py"}
+
+
+def names_used(tree):
+    """Every name a module imports, reads or reaches as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name for alias in node.names)
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_sweeps_reach_only_the_letter_routines():
+    # verify builds its words from letters it knows are valid, so it calls
+    # the letter-level routines; the public entries that check each word
+    # again must not come back into its per-pair and per-translate loops
+    tree = ast.parse((Path(freegroups.__file__).parent / "verify.py").read_text())
+    used = names_used(tree)
+    assert {"_basis_pair_letters", "_fold_letters", "_separability", "_minimize_letters"} <= used
+    assert used & {"is_basis_pair_f2", "build_whitehead_graph", "WhiteheadGraph"} == set()
+
+
+def test_names_used_sees_imports_and_attributes():
+    tree = ast.parse("from .primitivity import is_basis_pair_f2 as f\nwhitehead_graph.WhiteheadGraph")
+    assert {"is_basis_pair_f2", "f", "WhiteheadGraph"} <= names_used(tree)
 
 
 def test_imported_modules_sees_every_import_form():

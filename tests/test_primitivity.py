@@ -571,6 +571,15 @@ def test_basis_pair_rejects_higher_rank_letters():
         is_basis_pair_f2(parse_word("ac"), parse_word("b"))
 
 
+def test_rank_must_be_an_int():
+    # is_primitive(Word([1]), 1.5) used to answer True
+    for rank in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="rank must be an int"):
+            is_primitive(Word([1]), rank)
+        with pytest.raises(ValueError, match="rank must be an int"):
+            whitehead_minimize(Word([1]), rank)
+
+
 def test_basis_pair_is_commutator_conjugacy_on_ball():
     # the one pass test against the definition it stands for
     ball = list(iter_reduced_words(2, 6))

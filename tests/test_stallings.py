@@ -4,6 +4,7 @@ import hashlib
 import json
 import pickle
 import random
+import re
 
 import pytest
 
@@ -236,6 +237,30 @@ def test_rejects_bad_input():
         SubgroupGraph(2, 0, [])
     with pytest.raises(ValueError):
         SubgroupGraph(0, 1, [])
+
+
+def test_constructor_refuses_floats_and_bools():
+    # one letter test, words._is_letter, for the labels; vertex numbers and
+    # the vertex count must be ints too, not floats or bools
+    for label in (True, 1.0, 1.5):
+        with pytest.raises(ValueError, match=re.escape(f"edge label {label} outside 1..2")):
+            SubgroupGraph(2, 1, [(0, label, 0)])
+    for end in (True, 1.0):
+        with pytest.raises(ValueError, match="off the vertex range"):
+            SubgroupGraph(1, 2, [(0, 1, end), (end, 1, 0)])
+    for count in (2.5, 1.0, True):
+        with pytest.raises(ValueError, match="vertex count must be an int"):
+            SubgroupGraph(2, count, [])
+
+
+def test_rank_must_be_an_int():
+    # a float or bool rank used to pass: rank 2.5 came back on the graph,
+    # and rank True made <a> the whole group
+    for rank in (2.5, 1.0, True):
+        with pytest.raises(ValueError, match="rank must be an int"):
+            build_subgroup_graph([Word([1])], rank)
+        with pytest.raises(ValueError, match="rank must be an int"):
+            SubgroupGraph(rank, 1, [])
 
 
 def test_constructor_rejects_unfolded_edges():

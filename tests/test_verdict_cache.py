@@ -24,7 +24,7 @@ from freegroups.verify import (
     verify_nielsen_xcheck,
     verify_prop24,
 )
-from freegroups.whitehead_graph import CutVertexVerdict
+from freegroups.whitehead_graph import build_whitehead_graph
 from freegroups.words import (
     Word,
     _cyclic_strip,
@@ -35,7 +35,11 @@ from freegroups.words import (
 )
 
 
-def reference_prop24(rank, max_len):
+def separable_by_graph(word, rank):
+    return build_whitehead_graph(word, rank).find_cut_vertex().separable
+
+
+def reference_prop24(rank, max_len, separable=separable_by_graph):
     counterexamples = []
     checked = 0
     primitives = 0
@@ -48,9 +52,8 @@ def reference_prop24(rank, max_len):
         core, _ = cyclically_reduce(w)
         if core in separable_by_core:
             continue
-        verdict = verify.build_whitehead_graph(core.word, rank).find_cut_vertex()
-        separable_by_core[core] = verdict.separable
-        if not verdict.separable:
+        separable_by_core[core] = separable(core.word, rank)
+        if not separable_by_core[core]:
             counterexamples.append(format_word(core.word))
     stats = {
         "words_checked": checked,
@@ -137,16 +140,20 @@ def test_prop24_report_matches_cacheless_reference(rank, max_len):
 def test_prop24_counterexamples_match_reference(monkeypatch):
     # a fake separability test that fails every core of length 5; length is
     # a class invariant, so the class-level verdicts must reproduce the
-    # per-core counterexample list, each core as first met
-    def fake_graph(word, rank):
-        verdict = CutVertexVerdict(connected=True, cut_vertex=None, separable=len(word) != 5)
-        return type("FakeGraph", (), {"find_cut_vertex": lambda self: verdict})()
+    # per-core counterexample list, each core as first met.  The sweep
+    # reads separability off the edge matrix of the core, which has one
+    # edge per letter of a cyclically reduced core.
+    def fake_separability(m, rank):
+        return sum(sum(row.values()) for row in m) // 2 != 5, True, []
 
-    monkeypatch.setattr(verify, "build_whitehead_graph", fake_graph)
+    def fake_separable(word, rank):
+        return len(word) != 5
+
+    monkeypatch.setattr(verify, "_separability", fake_separability)
     for rank, max_len in ((2, 6), (3, 5)):
         got = verify_prop24(rank, max_len)
         assert got.counterexamples
-        assert got.to_json() == reference_prop24(rank, max_len).to_json()
+        assert got.to_json() == reference_prop24(rank, max_len, fake_separable).to_json()
 
 
 @pytest.mark.parametrize("rank,max_len", [(1, 6), (2, 7), (3, 5), (2, 8), (3, 6)])

@@ -2,7 +2,9 @@
 claim checker at small parameters, report serialization, and the grid."""
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import re
 import subprocess
 import sys
@@ -12,8 +14,13 @@ import pytest
 
 import freegroups
 
-from freegroups import verify
-from freegroups.primitivity import is_primitive, primitive_orbit_oracle, whitehead_minimize
+from freegroups import stallings, verify, words
+from freegroups.primitivity import (
+    _minimize_letters,
+    is_primitive,
+    primitive_orbit_oracle,
+    whitehead_minimize,
+)
 from freegroups.verify import (
     _CLAIMS,
     _block_table,
@@ -396,6 +403,124 @@ def test_nielsen_xcheck_small():
     # sum over |a| of N(|a|) * ball(3 - |a|)
     assert r.stats["words_checked"] == 1 * 53 + 4 * 17 + 12 * 5 + 36 * 1
     assert r.stats["basis_pairs"] > 0
+
+
+# --- the letter-level routes of npbig and nielsen-xcheck ---
+
+
+def test_sweeps_check_ranks_once_not_per_word(monkeypatch):
+    # the sweeps build their words from letters they know are valid, so
+    # check_rank runs a fixed number of times, whatever the ball's size
+    real = words.check_rank
+    calls = []
+
+    def counting(letters, rank):
+        calls.append(rank)
+        return real(letters, rank)
+
+    patched = []
+    for info in pkgutil.iter_modules(freegroups.__path__):
+        if info.name.startswith("__"):
+            continue
+        module = importlib.import_module(f"freegroups.{info.name}")
+        if getattr(module, "check_rank", None) is real:
+            monkeypatch.setattr(module, "check_rank", counting)
+            patched.append(info.name)
+    assert {"words", "primitivity", "stallings", "whitehead_graph"} <= set(patched)
+
+    def count(run, *args):
+        calls.clear()
+        assert run(*args).passed
+        return len(calls)
+
+    # nielsen-xcheck(6) has 11,665 pairs; it made 46,136 calls when each
+    # pair went through is_basis_pair_f2 and build_subgroup_graph
+    assert count(verify_nielsen_xcheck, 1) == count(verify_nielsen_xcheck, 6) <= 3
+    assert count(verify_npbig, 3, 0) == count(verify_npbig, 3, 3) <= 3
+
+
+def _fold_first_only(loops, rng=None):
+    return stallings._fold_letters(loops[:1], rng)
+
+
+@pytest.mark.parametrize(
+    "name,fake,claim,params",
+    [
+        # the commutator route: no pair is a basis
+        ("_basis_pair_letters", lambda a, b: False, "nielsen-xcheck", {"max_pair_len": 2}),
+        # the rose route: fold a alone, so (a, b) never folds to the rose
+        ("_fold_letters", _fold_first_only, "nielsen-xcheck", {"max_pair_len": 2}),
+        # the minimizer: every core is a generator, so every word primitive
+        (
+            "_minimize_letters",
+            lambda letters, rank, verdict=False, matrix=None: ((1,), []),
+            "npbig",
+            {"rank": 2, "max_len": 2},
+        ),
+        # and no core is, so no basis pair has primitive coordinates
+        (
+            "_minimize_letters",
+            lambda letters, rank, verdict=False, matrix=None: ((1, 1), []),
+            "nielsen-xcheck",
+            {"max_pair_len": 2},
+        ),
+        # the cut-vertex route: every graph separable, then none
+        ("_separability", lambda m, rank: (True, False, []), "npbig", {"rank": 2, "max_len": 2}),
+        ("_separability", lambda m, rank: (False, True, []), "prop24", {"rank": 2, "max_len": 2}),
+    ],
+)
+def test_each_letter_route_is_consulted(monkeypatch, name, fake, claim, params):
+    assert _CLAIMS[claim].run(**params).passed
+    monkeypatch.setattr(verify, name, fake)
+    assert _CLAIMS[claim].run(**params).status == "fail"
+
+
+def test_npbig_hands_the_minimizer_the_matrix_it_tested(monkeypatch):
+    # the two verdicts share the first Whitehead matrix and nothing else
+    tested, handed = [], []
+    separability, minimize = verify._separability, verify._minimize_letters
+
+    def spy_separability(m, rank):
+        tested.append(m)
+        return separability(m, rank)
+
+    def spy_minimize(letters, rank, verdict=False, matrix=None):
+        handed.append(matrix)
+        return minimize(letters, rank, verdict, matrix)
+
+    monkeypatch.setattr(verify, "_separability", spy_separability)
+    monkeypatch.setattr(verify, "_minimize_letters", spy_minimize)
+    assert verify_npbig(2, 3).passed
+    assert len(handed) == len(tested) == 1 + 4 + 12 + 36
+    assert all(m is n for m, n in zip(tested, handed))
+
+
+def test_first_matrix_handoff_changes_nothing():
+    # _minimize_letters given the first step's matrix returns the same core
+    # and steps as without it, in the verdict mode and in the trace mode
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def signed(rank):
+        return st.integers(1, rank).flatmap(lambda i: st.sampled_from([i, -i]))
+
+    cases = st.integers(2, 6).flatmap(
+        lambda rank: st.tuples(st.just(rank), st.lists(signed(rank), max_size=16))
+    )
+
+    @hypothesis.given(cases)
+    def handoff_is_invisible(case):
+        rank, letters = case
+        letters = Word(letters).letters
+        core = _cyclic_strip(letters)[0]
+        for verdict in (True, False):
+            m = verify._cyclic_matrix(core)
+            before = [dict(row) for row in m]
+            got = _minimize_letters(letters, rank, verdict, m)
+            assert got == _minimize_letters(letters, rank, verdict)
+            assert m == before  # only read
+
+    handoff_is_invisible()
 
 
 def test_claim_one_small():

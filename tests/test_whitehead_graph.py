@@ -6,6 +6,7 @@ vertex in turn and recount connected components among the remaining ones.
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -117,6 +118,34 @@ def test_degree_refuses_what_the_constructor_refuses():
             g.degree(v)
         with pytest.raises(ValueError, match=f"vertex {v} not a letter of rank 2"):
             WhiteheadGraph(2, [(1, v)])
+
+
+def test_refuses_float_and_bool_letters():
+    # one letter test, words._is_letter: a letter is a nonzero int, as Word
+    # says, and 1.5, 1.0 and True are not letters
+    g = build_whitehead_graph(Word([1, 2]), 2)
+    for v in (1.5, 1.0, True, False):
+        message = re.escape(f"vertex {v} not a letter of rank 2")
+        with pytest.raises(ValueError, match=message):
+            WhiteheadGraph(2, [(v, 1)])
+        with pytest.raises(ValueError, match=message):
+            g.degree(v)
+
+
+def test_builder_and_constructor_give_the_same_graph():
+    # build_whitehead_graph skips the per-vertex test its check_rank made
+    for w in iter_reduced_words(3, 4):
+        built = build_whitehead_graph(w, 3)
+        made = WhiteheadGraph(3, whitehead_edges(w.letters))
+        assert built.edges == made.edges and built.find_cut_vertex() == made.find_cut_vertex()
+
+
+def test_rank_must_be_an_int():
+    for rank in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="rank must be an int"):
+            WhiteheadGraph(rank)
+        with pytest.raises(ValueError, match="rank must be an int"):
+            build_whitehead_graph(Word([1]), rank)
 
 
 def test_edge_count_equals_length_random():

@@ -19,6 +19,7 @@ from freegroups.words import (
     WordParseError,
     are_conjugate,
     canonical_rotation,
+    check_rank,
     commutator,
     count_reduced_words,
     cyclically_reduce,
@@ -477,6 +478,14 @@ def test_ball_count_refuses_what_the_walk_refuses(rank, max_len, message):
         list(iter_reduced_words(rank, max_len))
     with pytest.raises(ValueError, match=message):
         count_reduced_words(rank, max_len)
+
+
+@pytest.mark.parametrize("rank", [2.5, 2.0, True, False, "2", None])
+def test_check_rank_refuses_a_rank_that_is_no_int(rank):
+    with pytest.raises(ValueError, match="rank must be an int"):
+        check_rank((), rank)
+    with pytest.raises(ValueError, match="rank must be an int"):
+        check_rank((1,), rank)
 
 
 def test_ball_excludes_empty_when_asked():
