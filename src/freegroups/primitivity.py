@@ -11,9 +11,9 @@ change length and play no part in the descent.
 The length change of a kind 2 move (A, a) on a cyclically reduced word is
 read off the cyclic Whitehead graph: the number of edges crossing between
 A and its complement, cross(A), minus the degree of a.  Each descent step
-builds that graph once, as the edge-count matrix of edge_matrix over the
-letters of the generators that occur in the word, so the cost of a step
-does not grow with the rank.
+builds that graph once, as the edge-count matrix of _cyclic_matrix over
+the letters of the generators that occur in the word, so the cost of a
+step does not grow with the rank.
 
 Every member set A for a contains a and avoids a^-1, so cross(A) is at
 least the minimum cut between a and a^-1, and the minimum over all the
@@ -38,6 +38,15 @@ every rank, and apply a move that comes back on two steps in a row as a
 power phi^m, m doubled while the cyclic length still drops.  A word like
 b a^k then takes a handful of steps instead of one per letter.  Every applied step is re-measured on
 the actual word and checked against the predicted length.
+
+is_primitive first reads the Whitehead graph of the core it starts from.
+A cyclically reduced word of length >= 2 whose graph is connected with
+no cut vertex is not primitive (Whitehead's cut-vertex lemma: Whitehead,
+Ann. of Math. 37, 1936; Stallings, "Whitehead graphs on handlebodies",
+1999), so such a core is answered without any max-flow, and only the
+other cores descend.  The descent itself, _minimize_letters, and
+whitehead_minimize never use the lemma, so the sweeps that check it
+(prop24, npbig) test it against the descent alone.
 """
 
 from __future__ import annotations
@@ -51,12 +60,13 @@ from .automorphisms import (
     enumerate_kind1,
     enumerate_kind2,
 )
-from .whitehead_graph import edge_matrix, vertex_letters, whitehead_edges
+from .whitehead_graph import _cyclic_matrix, _separability, vertex_letters
 from .words import (
     CyclicWord,
     Word,
     _Record,
     _cyclic_strip,
+    _letters_of,
     _reduce_tuple,
     canonical_rotation,
     check_rank,
@@ -215,10 +225,8 @@ def _find_move(core: tuple[int, ...], use_cut: bool, cap: list[dict[int, int]] |
     # The matrix spans only the generators in the core.  A missing
     # generator has degree 0, so it never lies on a cut's source side, and
     # its first pattern, neither, always fits.
-    gens = sorted({abs(x) for x in core})
-    names = vertex_letters(gens)
     if cap is None:
-        cap = edge_matrix(whitehead_edges(core), gens)
+        cap = _cyclic_matrix(core)
     # Vertices a and a^-1 have the same degree (every occurrence of a^{+-1}
     # meets both once) and the cut between them is symmetric, so a^-1 has
     # an improving set only when a, which comes first, already has one.
@@ -229,6 +237,7 @@ def _find_move(core: tuple[int, ...], use_cut: bool, cap: list[dict[int, int]] |
             continue
         if not use_cut:
             side, cut = _enum_order_set(cap, a, d, side, cut)
+        names = vertex_letters(sorted({abs(x) for x in core}))
         return MultiplierAut(names[a], frozenset(names[v] for v in side)), cut - d
     return None
 
@@ -286,9 +295,9 @@ def _minimize_letters(
     """Greedy descent on the cyclic core.  Returns (terminal core, steps).
 
     matrix, when given, is the first step's edge matrix: that of the
-    cyclic core of letters, edge_matrix(whitehead_edges(core), gens) over
-    the generators that occur in it, which a caller that already built it
-    hands over.  It is only read.  Every later step builds its own.
+    cyclic core of letters, _cyclic_matrix(core), which a caller that
+    already built it hands over.  It is only read.  Every later step
+    builds its own.
 
     Without verdict the steps are the trace: one move per step, chosen by
     the frozen policy of the rank.  With verdict only the terminal core
@@ -333,22 +342,31 @@ def whitehead_minimize(w: Word, rank: int) -> MinimizationTrace:
     >>> [length for _, length in tr.steps]
     [3, 2, 1]
     """
-    check_rank(w.letters, rank)
-    core, steps = _minimize_letters(w.letters, rank)
+    letters = _letters_of(w, "w")
+    check_rank(letters, rank)
+    core, steps = _minimize_letters(letters, rank)
     return MinimizationTrace(start=w, steps=steps, final=CyclicWord(Word._wrap(core)))
 
 
 def is_primitive(w: Word, rank: int) -> bool:
     """Whether w belongs to some basis of the rank n free group.
 
-    The empty word is not primitive.  Conjugation invariant, since the test
-    works on the cyclic core.
+    Conjugation invariant, since the test works on the cyclic core.  A
+    core of length 0 (the empty word) is not primitive and one of length
+    1 is.  A longer core whose Whitehead graph is connected with no cut
+    vertex is not primitive by Whitehead's cut-vertex lemma, which needs
+    no max-flow; any other core is minimized, starting from the matrix
+    the lemma read, and is primitive when it bottoms out at length 1.
     """
-    check_rank(w.letters, rank)
-    if not w.letters:
+    letters = _letters_of(w, "w")
+    check_rank(letters, rank)
+    core = _cyclic_strip(letters)[0]
+    if len(core) < 2:
+        return len(core) == 1
+    m = _cyclic_matrix(core)
+    if not _separability(m, rank)[0]:
         return False
-    core, _ = _minimize_letters(w.letters, rank, verdict=True)
-    return len(core) == 1
+    return len(_minimize_letters(core, rank, verdict=True, matrix=m)[0]) == 1
 
 
 # least rotations of the cores of [e1, e2] and of its inverse [e2, e1]
@@ -365,8 +383,9 @@ def is_basis_pair_f2(a: Word, b: Word) -> bool:
     [e2, e1], that is when its cyclic core has length 4 and the same least
     rotation as one of theirs.
     """
-    check_rank(a.letters + b.letters, 2)
-    return _basis_pair_letters(a.letters, b.letters)
+    a, b = _letters_of(a, "a"), _letters_of(b, "b")
+    check_rank(a + b, 2)
+    return _basis_pair_letters(a, b)
 
 
 def _basis_pair_letters(a: tuple[int, ...], b: tuple[int, ...]) -> bool:

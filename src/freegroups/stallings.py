@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from random import Random
 
-from .words import Word, _is_letter, check_rank, letter_key, letter_name
+from .words import Word, _is_letter, _letters_of, check_rank, letter_key, letter_name
 
 __all__ = ["SubgroupGraph", "build_subgroup_graph"]
 
@@ -112,10 +112,11 @@ class SubgroupGraph:
 
     def contains(self, w: Word) -> bool:
         """Whether the reduced word w lies in the subgroup."""
-        check_rank(w.letters, self.rank)
+        letters = _letters_of(w, "w")
+        check_rank(letters, self.rank)
         tables, find = self._tables, self._find
         base = cur = find(0)
-        for x in w.letters:
+        for x in letters:
             nxt = tables[cur].get(x)
             if nxt is None:
                 return False
@@ -288,10 +289,9 @@ def build_subgroup_graph(
     check_rank((), rank)
     words = []
     for gen in generators:
-        if not isinstance(gen, Word):
-            raise TypeError(f"generators must be Word, got {type(gen).__name__}")
-        check_rank(gen.letters, rank)
-        words.append(gen.letters)
+        letters = _letters_of(gen, "generators")
+        check_rank(letters, rank)
+        words.append(letters)
     tables, find = _fold_letters(words, rng)
     g = object.__new__(SubgroupGraph)
     g._set(rank, tables, find)

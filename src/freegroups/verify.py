@@ -9,7 +9,10 @@ symmetry class, through a classifier that lives for one sweep.  The
 sweeps build their words from letters they already know are valid, so
 they call the letter-level routines beneath the public entries
 (_minimize_letters, _basis_pair_letters, _fold_letters, _separability),
-and no word is checked again per pair or per translate.  Claim
+and no word is checked again per pair or per translate.  is_primitive
+answers non-separable cores by Whitehead's cut-vertex lemma, so prop24
+and npbig, which check that lemma, and the classifier and fincov, call
+the descent alone and never is_primitive.  Claim
 identifiers are short opaque tags; the claim table at the end of this
 module fixes them, with each claim's standard grid and caps.  Status is
 "pass" exactly when the counterexample list is empty.
@@ -31,7 +34,7 @@ from typing import Callable, Iterator, NamedTuple
 from .automorphisms import _apply_k1_letters, enumerate_kind1
 from .primitivity import _basis_pair_letters, _minimize_letters, is_primitive, whitehead_minimize
 from .stallings import _fold_letters, build_subgroup_graph
-from .whitehead_graph import _separability, edge_matrix, whitehead_edges
+from .whitehead_graph import _cyclic_matrix, _separability, edge_matrix
 from .words import (
     Word,
     _FrozenRecord,
@@ -186,12 +189,6 @@ def verify_npbig(rank: int, max_len: int) -> VerificationReport:
     return _CLAIMS["npbig"].run(rank=rank, max_len=max_len)
 
 
-def _cyclic_matrix(core: tuple[int, ...]) -> list[dict[int, int]]:
-    """The edge matrix of the cyclic Whitehead graph of core over the
-    generators that occur in it, as the minimizer's first step builds it."""
-    return edge_matrix(whitehead_edges(core), sorted({abs(x) for x in core}))
-
-
 def _npbig(rank: int, max_len: int):
     """The npbig sweep, on the letters of words built from the ball.  The
     cut-vertex verdict and the minimizer's verdict on each translate are
@@ -265,8 +262,9 @@ def _not_primitive(wij: Word, table: tuple[int | None, ...], a: Word, rank: int)
 
     Rung 1 needs rank >= 2: at rank 1 the graph of e1 is connected with
     no cut vertex, yet e1 is primitive.  Only the fincov sweep uses this
-    ladder; is_primitive and prop24, which checks the cut-vertex lemma
-    itself, keep the minimizer alone.
+    ladder.  is_primitive applies the lemma to a whole core before it
+    descends, but rung 2 here, like prop24 and npbig, which check the
+    lemma, calls the descent alone and never is_primitive.
     """
     if rank < 2:
         raise ValueError(f"the non-primitivity ladder needs rank >= 2, got {rank}")

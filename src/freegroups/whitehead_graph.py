@@ -7,17 +7,20 @@ number of edges therefore equals the length of the word.  Loops (only ever
 produced by the wrap-around pair of a non cyclically reduced word) and
 parallel edges are both kept.
 
-The point of the construction: a cyclically reduced word that is primitive
-always has a separable graph, meaning disconnected or with a cut vertex.
-That is a necessary condition only, and it is checked exhaustively by the
-verification harness.
+The point of the construction: a cyclically reduced word of length >= 2
+that is primitive always has a separable graph, meaning disconnected or
+with a cut vertex (Whitehead's cut-vertex lemma).  That is a necessary
+condition only.  is_primitive answers "not primitive" from a graph that
+is not separable, and the verification harness checks the lemma
+exhaustively against the descent alone.
 
 The graph is stored once, as the edge-count matrix of edge_matrix over the
-generators that occur; the minimizer reads the same matrix.  The letters of
-a missing generator are isolated, so the graph is then disconnected.  Cut
-vertices come from the usual low-link DFS over the matrix rows,
-_separation, with an explicit stack so that no rank reaches the recursion
-limit; loops never affect separation and are skipped there.
+generators that occur, which _cyclic_matrix builds for a cyclic core; the
+minimizer reads the same matrix.  The letters of a missing generator are
+isolated, so the graph is then disconnected.  Cut vertices come from the
+usual low-link DFS over the matrix rows, _separation, with an explicit
+stack so that no rank reaches the recursion limit; loops never affect
+separation and are skipped there.
 _separability reads the verdict off any such matrix, so the sweeps in
 verify test a matrix they built without a WhiteheadGraph.  Only vertices
 and to_dot cost more with the rank.
@@ -25,7 +28,15 @@ and to_dot cost more with the rank.
 
 from __future__ import annotations
 
-from .words import Word, _FrozenRecord, _is_letter, check_rank, letter_name, letter_order
+from .words import (
+    Word,
+    _FrozenRecord,
+    _is_letter,
+    _letters_of,
+    check_rank,
+    letter_name,
+    letter_order,
+)
 
 
 class CutVertexVerdict(_FrozenRecord):
@@ -220,6 +231,17 @@ def edge_matrix(edges, gens) -> list[dict[int, int]]:
     return m
 
 
+def _cyclic_matrix(core: tuple[int, ...]) -> list[dict[int, int]]:
+    """The edge matrix of the cyclic Whitehead graph of core over the
+    generators that occur in it: the matrix a descent step reads, and
+    the one _separability tests in is_primitive and the sweeps.
+
+    >>> _cyclic_matrix((2, 2, 3))
+    [{1: 1, 3: 1}, {0: 1, 2: 1}, {1: 1}, {0: 1}]
+    """
+    return edge_matrix(whitehead_edges(core), sorted({abs(x) for x in core}))
+
+
 def build_whitehead_graph(a: Word, rank: int) -> WhiteheadGraph:
     """Whitehead graph of a word.  Indices must fit under rank.
 
@@ -227,8 +249,9 @@ def build_whitehead_graph(a: Word, rank: int) -> WhiteheadGraph:
     >>> g.edge_count
     4
     """
-    check_rank(a.letters, rank)
+    letters = _letters_of(a, "a")
+    check_rank(letters, rank)
     # a Word holds only letters, and check_rank has fit them under rank
     g = object.__new__(WhiteheadGraph)
-    g._set(rank, whitehead_edges(a.letters))
+    g._set(rank, whitehead_edges(letters))
     return g

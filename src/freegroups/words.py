@@ -225,6 +225,14 @@ class Word:
         return f"Word({format_word(self)!r})"
 
 
+def _letters_of(w, what: str) -> tuple[int, ...]:
+    """The letters of w; TypeError naming the type of w when it is no
+    Word, rather than the AttributeError of reading .letters."""
+    if not isinstance(w, Word):
+        raise TypeError(f"{what} must be Word, got {type(w).__name__}")
+    return w.letters
+
+
 def word_sort_key(w: Word) -> tuple:
     """Total order on words: by length, then letter by letter."""
     return (len(w.letters), tuple(letter_key(x) for x in w.letters))

@@ -187,3 +187,23 @@ def test_primitive_power_word_at_the_parse_cap_answers_quickly():
         timeout=10,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "primitive\n", "")
+
+
+def test_primitive_square_blocks_at_rank_4000_answer_quickly():
+    # e1^2 e2^2 ... e4000^2 has a Whitehead graph that is connected with
+    # no cut vertex, so is_primitive answers by the cut-vertex lemma and
+    # runs no max-flow; the descent alone took about 8 s at this rank
+    import subprocess
+    import sys
+    import time
+
+    word = " ".join(f"{i} {i}" for i in range(1, 4001))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "freegroups", "primitive", word, "--rank", "4000"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "not primitive\n", "")
+    assert time.perf_counter() - start < 3

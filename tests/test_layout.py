@@ -79,6 +79,33 @@ def test_sweeps_reach_only_the_letter_routines():
     assert used & {"is_basis_pair_f2", "build_whitehead_graph", "WhiteheadGraph"} == set()
 
 
+def functions(module):
+    """The top-level functions of a package module by name, as ast nodes."""
+    tree = ast.parse((Path(freegroups.__file__).parent / f"{module}.py").read_text())
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_the_lemma_checkers_never_call_is_primitive():
+    # is_primitive answers cores without a cut vertex by Whitehead's
+    # cut-vertex lemma; prop24 and npbig check that lemma, so they and the
+    # verdicts they read (the classifier, fincov's ladder) call the descent
+    # alone, or the checks would be circular
+    sweeps = functions("verify")
+    for name in ("_prop24", "_npbig", "_symmetry_classifier", "_not_primitive", "_fincov"):
+        assert "is_primitive" not in names_used(sweeps[name]), name
+    assert "_minimize_letters" in names_used(sweeps["_npbig"])
+
+
+def test_the_descent_never_reads_the_lemma():
+    # the descent and the traces keep no shortcut: is_primitive alone
+    # tests separability before it descends
+    routines = functions("primitivity")
+    for name in ("_find_move", "_minimize_letters", "whitehead_minimize"):
+        used = names_used(routines[name])
+        assert used & {"_separability", "is_primitive"} == set(), name
+    assert "_separability" in names_used(routines["is_primitive"])
+
+
 def test_names_used_sees_imports_and_attributes():
     tree = ast.parse("from .primitivity import is_basis_pair_f2 as f\nwhitehead_graph.WhiteheadGraph")
     assert {"is_basis_pair_f2", "f", "WhiteheadGraph"} <= names_used(tree)

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from freegroups import primitivity
 from freegroups.automorphisms import MultiplierAut, _apply_k2_letters, enumerate_kind2
 from freegroups.primitivity import (
     MinimizationTrace,
@@ -21,8 +22,14 @@ from freegroups.primitivity import (
     primitive_orbit_oracle,
     whitehead_minimize,
 )
-from freegroups.verify import wij_family
-from freegroups.whitehead_graph import edge_matrix, vertex_letters, whitehead_edges
+from freegroups.verify import build_w, wij_family
+from freegroups.whitehead_graph import (
+    _cyclic_matrix,
+    _separability,
+    edge_matrix,
+    vertex_letters,
+    whitehead_edges,
+)
 from freegroups.words import (
     Word,
     _cyclic_strip,
@@ -166,6 +173,89 @@ def test_primitive_conjugation_invariant():
         w = random_reduced(rng, 2, rng.randrange(1, 8))
         c = random_reduced(rng, 2, rng.randrange(0, 5))
         assert is_primitive(w, 2) == is_primitive(c * w * c.inverse(), 2)
+
+
+# --- the cut-vertex certificate in is_primitive ---
+
+
+def descent_verdict(letters, rank):
+    # the pure descent, which never reads the cut-vertex lemma
+    return len(_minimize_letters(letters, rank, verdict=True)[0]) == 1
+
+
+# A graph on 2n vertices with no cut vertex has every degree >= 2, so at
+# rank 3 only cores of length >= 6 can be settled by the lemma; the (3, 6)
+# ball is compared with the single-step descent below.
+@pytest.mark.parametrize("rank,max_len,settled", [(1, 8, 14), (2, 7, 3160), (3, 5, 0)])
+def test_certificate_matches_the_descent_on_balls(rank, max_len, settled):
+    lemma = 0
+    for w in iter_reduced_words(rank, max_len, include_empty=True):
+        assert is_primitive(w, rank) == descent_verdict(w.letters, rank), format_word(w)
+        core = _cyclic_strip(w.letters)[0]
+        lemma += len(core) > 1 and not _separability(_cyclic_matrix(core), rank)[0]
+    assert lemma == settled
+
+
+@pytest.mark.parametrize(
+    "text,rank,expected",
+    [
+        ("a", 1, True),  # the graph of e1 is connected with no cut vertex
+        ("aa", 1, False),
+        ("aA", 2, False),  # reduces to the empty word
+        ("c", 3, True),
+        ("ab", 3, True),  # misses e3, so its graph is disconnected
+        ("abAB", 3, False),
+        ("abAB", 2, False),
+        ("b^2a^2", 2, False),
+    ],
+)
+def test_certificate_fixed_cases(text, rank, expected):
+    w = parse_word(text)
+    assert is_primitive(w, rank) is expected
+    assert descent_verdict(w.letters, rank) is expected
+
+
+def test_certificate_reads_the_cyclic_core():
+    # conjugates that are not cyclically reduced: the lemma is applied to
+    # the core, whose graph differs from that of the word itself
+    c = parse_word("ab")
+    for text, expected in (("a^2b^2", False), ("ab^2", True)):
+        t = c * parse_word(text) * ~c
+        assert not t.is_cyclically_reduced
+        assert is_primitive(t, 2) is expected
+        assert descent_verdict(t.letters, 2) is expected
+
+
+def test_certificate_runs_no_flow_on_the_seed_word(monkeypatch):
+    flows = []
+
+    def counting_flow(*args):
+        flows.append(args[1:3])
+        return max_flow(*args)
+
+    max_flow = primitivity._max_flow
+    monkeypatch.setattr(primitivity, "_max_flow", counting_flow)
+    assert not is_primitive(build_w(3), 3)
+    assert flows == []
+    # the descent alone needs flows to learn that no move exists
+    assert not descent_verdict(build_w(3).letters, 3)
+    assert flows != []
+
+
+def test_separable_cores_descend_from_the_tested_matrix(monkeypatch):
+    # a core that the lemma cannot settle hands its matrix to the descent,
+    # so its edge matrix is built once, not twice
+    built = []
+
+    def counting_matrix(core):
+        built.append(core)
+        return _cyclic_matrix(core)
+
+    monkeypatch.setattr(primitivity, "_cyclic_matrix", counting_matrix)
+    assert is_primitive(parse_word("ababa"), 2)
+    # ababa descends 5 -> 3 -> 2 -> 1: one matrix per step, the first of
+    # them the one the lemma read
+    assert built == [(1, 2, 1, 2, 1), (2, 2, 1), (2, 1)]
 
 
 # --- move scoring on the edge-count matrix ---
@@ -578,6 +668,17 @@ def test_rank_must_be_an_int():
             is_primitive(Word([1]), rank)
         with pytest.raises(ValueError, match="rank must be an int"):
             whitehead_minimize(Word([1]), rank)
+
+
+def test_refuses_input_that_is_no_word():
+    for entry in (is_primitive, whitehead_minimize):
+        for bad in ("ab", (1, 2)):
+            with pytest.raises(TypeError, match=f"w must be Word, got {type(bad).__name__}"):
+                entry(bad, 2)
+    with pytest.raises(TypeError, match="a must be Word, got str"):
+        is_basis_pair_f2("a", parse_word("b"))
+    with pytest.raises(TypeError, match="b must be Word, got tuple"):
+        is_basis_pair_f2(parse_word("a"), (2,))
 
 
 def test_basis_pair_is_commutator_conjugacy_on_ball():

@@ -207,6 +207,34 @@ def test_verdict_descent_on_whitehead_images(case):
     check_verdict_descent(*case)
 
 
+@st.composite
+def long_words(draw):
+    # a random word, then random kind 2 moves while it stays short enough:
+    # random words are mostly not separable, and the moves keep primitive
+    # and separable words in the draw
+    rank = draw(st.integers(4, 8))
+    letters = [s * i for i in range(1, rank + 1) for s in (1, -1)]
+    size = draw(st.integers(1, 60))
+    w = Word(draw(st.lists(st.sampled_from(letters), min_size=size, max_size=size)))
+    for _ in range(draw(st.integers(0, 6))):
+        a = draw(st.sampled_from(letters))
+        others = draw(st.sets(st.sampled_from([x for x in letters if abs(x) != abs(a)])))
+        image = MultiplierAut(a, frozenset({a, *others})).apply(w)
+        if len(image) > 60:
+            break
+        w = image
+    return rank, w
+
+
+@given(long_words())
+def test_certificate_matches_the_descent_at_higher_ranks(case):
+    # is_primitive settles cores whose graph has no cut vertex by the
+    # cut-vertex lemma; the descent alone must agree on every word
+    rank, w = case
+    descent = len(_minimize_letters(w.letters, rank, verdict=True)[0]) == 1
+    assert is_primitive(w, rank) == descent, format_word(w)
+
+
 def move(multiplier, *others):
     return MultiplierAut(multiplier, frozenset({multiplier, *others}))
 

@@ -219,12 +219,19 @@ def test_json_shape():
 # --- validation ---
 
 
+def test_contains_refuses_input_that_is_no_word():
+    g = build_subgroup_graph(words("ab"), 2)
+    for bad, name in (("a", "str"), ((1,), "tuple"), ([1], "list")):
+        with pytest.raises(TypeError, match=f"w must be Word, got {name}"):
+            g.contains(bad)
+
+
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
         build_subgroup_graph(words("abc"), 2)
     with pytest.raises(ValueError):
         build_subgroup_graph([], 0)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="generators must be Word, got str"):
         build_subgroup_graph(["ab"], 2)
     g = build_subgroup_graph(words("ab"), 2)
     with pytest.raises(ValueError):

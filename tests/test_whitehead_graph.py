@@ -148,6 +148,12 @@ def test_rank_must_be_an_int():
             build_whitehead_graph(Word([1]), rank)
 
 
+def test_builder_refuses_input_that_is_no_word():
+    for bad, name in (("ab", "str"), ((1, 2), "tuple")):
+        with pytest.raises(TypeError, match=f"a must be Word, got {name}"):
+            build_whitehead_graph(bad, 2)
+
+
 def test_edge_count_equals_length_random():
     rng = random.Random(21)
     for _ in range(2000):
