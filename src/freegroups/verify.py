@@ -5,9 +5,13 @@ sample) and returns a VerificationReport.  Most test their claim on every
 word; prop24 and primitive_density visit each rotation class of cyclic
 cores once and count its words exactly, since their claims depend on the
 core's class alone.  They and nielsen-xcheck settle primitivity once per
-symmetry class, through a classifier that lives for one sweep.  The
-sweeps build their words from letters they already know are valid, so
-they call the letter-level routines beneath the public entries
+symmetry class (rotation, inversion and signed generator permutations),
+through a classifier that lives for one sweep.  It names a core's class
+by its gap key, the least rotation of its signed gaps back to the
+previous occurrence of each generator, and files each verdict under two
+keys, the core's and its inverse's, at every rank.  The sweeps build
+their words from letters they already know are valid, so they call the
+letter-level routines beneath the public entries
 (_minimize_letters, _basis_pair_letters, _fold_letters, _separability),
 and no word is checked again per pair or per translate.  is_primitive
 answers non-separable cores by Whitehead's cut-vertex lemma, so prop24
@@ -31,7 +35,6 @@ from functools import cache
 from itertools import product
 from typing import Callable, Iterator, NamedTuple
 
-from .automorphisms import _apply_k1_letters, enumerate_kind1
 from .primitivity import _basis_pair_letters, _minimize_letters, is_primitive, whitehead_minimize
 from .stallings import _fold_letters, build_subgroup_graph
 from .whitehead_graph import _cyclic_matrix, _separability, edge_matrix
@@ -425,29 +428,57 @@ def _necklaces(rank: int, length: int) -> Iterator[tuple[tuple[int, ...], int]]:
             stack.pop()
 
 
+def _gap_key(core: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of the gap sequence of a cyclic core.
+
+    Position i holds +g or -g, where g is the cyclic distance back to the
+    previous occurrence of the same generator, signed + when it is the
+    same letter and - when it is the inverse.  A signed generator
+    permutation leaves the sequence unchanged and a rotation of the core
+    rotates it.  The back links form one cycle per generator, and the
+    signs fix the letters along each cycle up to one sign, so the
+    sequence fixes the core up to a signed permutation.  The gaps are
+    nonzero ints, which canonical_rotation orders like letters.
+
+    >>> _gap_key((1, 2, -1, 2)), _gap_key((2, -1, -2, -1)), _gap_key((1, 2, 1, 2))
+    ((2, -2, 2, -2), (2, -2, 2, -2), (2, 2, 2, 2))
+    """
+    n = len(core)
+    # the last occurrence of each generator, as a negative index, is the
+    # previous one of its first occurrence
+    last = {abs(x): i - n for i, x in enumerate(core)}
+    gaps = []
+    for i, x in enumerate(core):
+        g = abs(x)
+        j = last[g]
+        last[g] = i
+        gaps.append(i - j if core[j] == x else j - i)
+    return canonical_rotation(tuple(gaps))
+
+
 def _symmetry_classifier(rank: int) -> Callable[[tuple[int, ...]], tuple[tuple, bool]]:
-    """A function classify(least rotation) -> (class, primitive) for the
-    cyclically reduced cores of one sweep, one verdict per symmetry class.
+    """A function classify(core) -> (class, primitive) for the cyclically
+    reduced cores of one sweep, one verdict per symmetry class.  Any
+    rotation of a core may be passed.
 
     Primitivity is invariant under rotation, inversion and signed
     generator permutations, and so is the separability of the Whitehead
     graph: a permutation relabels its vertices and inversion keeps its
-    edges.  A class is named by the first of its cores classified.  A miss
-    minimizes that core once and files the class under the least rotation
-    of each kind 1 image and of its inverse, at most 2 * n! * 2^n keys.
-    The filed classes live in the closure: make one classifier per sweep.
+    edges.  A core's _gap_key names its class under rotations and signed
+    permutations, and the key of its inverse adds inversion.  A class is
+    named by the first of its cores classified.  A miss minimizes that
+    core once and files the class under its key and its inverse's key,
+    two keys per class at every rank.  The filed classes live in the
+    closure: make one classifier per sweep.
     """
-    kind1 = [t.images for t in enumerate_kind1(rank)]
     filed: dict[tuple[int, ...], tuple[tuple, bool]] = {}
 
-    def classify(key: tuple[int, ...]) -> tuple[tuple, bool]:
+    def classify(core: tuple[int, ...]) -> tuple[tuple, bool]:
+        key = _gap_key(core)
         entry = filed.get(key)
         if entry is None:
-            entry = key, len(_minimize_letters(key, rank, verdict=True)[0]) == 1
-            for images in kind1:
-                image = _apply_k1_letters(images, key)
-                filed[canonical_rotation(image)] = entry
-                filed[canonical_rotation(tuple(-x for x in reversed(image)))] = entry
+            entry = core, len(_minimize_letters(core, rank, verdict=True)[0]) == 1
+            filed[key] = filed[_gap_key(tuple(-x for x in reversed(core)))] = entry
         return entry
 
     return classify
@@ -458,7 +489,9 @@ def _core_classes(rank: int, max_len: int) -> Iterator[tuple[tuple, list[int], t
     of nonempty cyclically reduced cores of length <= max_len, in the
     order a sweep of the ball first meets them: by length, then in letter
     order.  class and primitive are the symmetry class of the core and its
-    verdict, from one _symmetry_classifier per call.
+    verdict, from one _symmetry_classifier per call: the class is named
+    by its first core met, found by the gap key of each later one, and
+    the verdict is the descent's on that first core.
 
     A reduced word is u c u^-1 for one cyclically reduced c, and such a
     product is reduced exactly when the last letter of u is neither c[0]^-1
@@ -501,13 +534,14 @@ def _nielsen_xcheck(max_pair_len: int):
     classify = _symmetry_classifier(2)
 
     def primitive(letters: tuple[int, ...]) -> bool:
-        return classify(canonical_rotation(_cyclic_strip(letters)[0]))[1]
+        return classify(_cyclic_strip(letters)[0])[1]
 
     counterexamples = []
     checked = 0
     basis_pairs = 0
     for a in ball:
         budget = max_pair_len - len(a)
+        a_primitive = None  # settled at the first basis pair (a, b)
         for b in ball:
             if len(b) > budget:
                 break  # ball is sorted by length
@@ -519,7 +553,9 @@ def _nielsen_xcheck(max_pair_len: int):
             ok = by_commutator == by_rose
             if ok and by_commutator:
                 basis_pairs += 1
-                ok = primitive(a) and primitive(b)
+                if a_primitive is None:
+                    a_primitive = primitive(a)
+                ok = a_primitive and primitive(b)
             if not ok:
                 pair = ", ".join(format_word(Word._wrap(w)) for w in (a, b))
                 counterexamples.append(f"({pair})")
@@ -671,9 +707,17 @@ def _allowed(cap, params: dict):
     return cap(params["rank"]) if callable(cap) else cap
 
 
+def _check_int(name: str, value) -> None:
+    # a bool is an int subclass, and 3.0 == 3, but neither is a count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _check_caps(caps: dict, params: dict) -> None:
-    """Raise ValueError unless every capped parameter has an allowed value."""
+    """Raise ValueError unless every capped parameter is an int with an
+    allowed value."""
     for name, cap in caps.items():
+        _check_int(name, params[name])
         allowed = _allowed(cap, params)
         if params[name] not in allowed:
             if isinstance(allowed, range):
@@ -715,6 +759,7 @@ class _Claim(NamedTuple):
         params = dict(params)
         for name, value in ((self.length_param, max_len), ("truncation", truncation)):
             if value is not None and name in params:
+                _check_int(name, value)
                 allowed = self.allowed(name, params)
                 params[name] = max(allowed.start, min(value, allowed[-1]))
         return params

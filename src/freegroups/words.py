@@ -314,7 +314,9 @@ def canonical_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
 
 def commutator(u: Word, v: Word) -> Word:
     """The commutator u^-1 v^-1 u v, reduced."""
-    return u.inverse() * v.inverse() * u * v
+    a, b = _letters_of(u, "u"), _letters_of(v, "v")
+    # u^-1 v^-1 is the inverse of v u
+    return Word._wrap(_reduce_tuple(tuple(-x for x in reversed(b + a)) + a + b))
 
 
 def cyclically_reduce(u: Word) -> tuple[CyclicWord, Word]:
@@ -326,13 +328,13 @@ def cyclically_reduce(u: Word) -> tuple[CyclicWord, Word]:
     >>> core.word.letters, c.letters
     ((2, 2), (1,))
     """
-    core, prefix = _cyclic_strip(u.letters)
+    core, prefix = _cyclic_strip(_letters_of(u, "u"))
     return CyclicWord(Word._wrap(core)), Word._wrap(prefix)
 
 
 def are_conjugate(u: Word, v: Word) -> bool:
     """Whether u and v are conjugate: equal cyclic cores up to rotation."""
-    a, b = _cyclic_strip(u.letters)[0], _cyclic_strip(v.letters)[0]
+    a, b = _cyclic_strip(_letters_of(u, "u"))[0], _cyclic_strip(_letters_of(v, "v"))[0]
     # rotations of one another exactly when the least rotations agree
     return len(a) == len(b) and canonical_rotation(a) == canonical_rotation(b)
 
@@ -427,7 +429,7 @@ def format_word(w: Word, rank: int | None = None) -> str:
     are compressed with ^k in form A.  The empty word formats as the empty
     string.
     """
-    letters = w.letters
+    letters = _letters_of(w, "w")
     if max(w.max_index, rank or 0) <= 26:
         parts = []
         for x, grp in groupby(letters):

@@ -5,7 +5,7 @@ the command line and the package root import verify, so the reference
 deciders in primitivity (is_primitive, whitehead_minimize and the orbit
 oracle) cannot read the shortcuts of its sweeps.  verify in turn reaches
 only the letter-level routines beneath the public entries that check
-every word.
+every word, and it imports nothing from automorphisms.
 """
 
 import ast
@@ -77,6 +77,15 @@ def test_sweeps_reach_only_the_letter_routines():
     used = names_used(tree)
     assert {"_basis_pair_letters", "_fold_letters", "_separability", "_minimize_letters"} <= used
     assert used & {"is_basis_pair_f2", "build_whitehead_graph", "WhiteheadGraph"} == set()
+
+
+def test_verify_imports_nothing_from_automorphisms():
+    # the sweeps name a symmetry class by the gap key of a core, and must
+    # not drift back to filing every image under the signed permutations
+    tree = ast.parse((Path(freegroups.__file__).parent / "verify.py").read_text())
+    assert "automorphisms" not in imported_modules(tree)
+    assert names_used(tree) & {"enumerate_kind1", "_apply_k1_letters", "apply_aut"} == set()
+    assert "_gap_key" in names_used(tree)
 
 
 def functions(module):

@@ -1,8 +1,8 @@
 """Hypothesis properties of folding, of the word text forms and of the
-Whitehead automorphisms.  The per-sweep verdict cache files one verdict
-under every signed permutation image of a core and of its inverse, so
-the invariances it relies on are checked here as properties, and so is
-the verdict-only descent on automorphic images.
+Whitehead automorphisms.  The per-sweep symmetry classifier gives one
+verdict to a core, its rotations, its inverse and its signed permutation
+images, so the invariances it relies on are checked here as properties,
+and so is the verdict-only descent on automorphic images.
 
 The examples are derandomized by the profile in conftest.py, so fixed
 cases stand next to a property wherever a rare branch must be reached.

@@ -576,6 +576,41 @@ def test_truncation_caps():
             verify_lemma38(bad)
 
 
+@pytest.mark.parametrize("bad", [True, False, 3.0, "3"])
+def test_caps_refuse_a_value_that_is_no_int(bad):
+    # True == 1 and 3.0 == 3 sit inside the ranges; they must not pass
+    cases = [
+        (lambda: verify_npbig(2, bad), "max_len"),
+        (lambda: verify_npbig(bad, 2), "rank"),
+        (lambda: verify_prop24(2, bad), "max_len"),
+        (lambda: verify_fincov(2, bad), "max_len"),
+        (lambda: verify_fact1(4, bad, 3), "max_m"),
+        (lambda: verify_fact1(4, 2, bad), "max_k"),
+        (lambda: verify_nielsen_xcheck(bad), "max_pair_len"),
+        (lambda: verify_claim_one(bad), "truncation"),
+        (lambda: verify_section3(bad), "truncation"),
+        (lambda: primitive_density(2, bad), "max_len"),
+        (lambda: primitive_density(bad, 3), "rank"),
+    ]
+    for call, name in cases:
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [True, 3.0, 10.5])
+def test_overrides_refuse_a_value_that_is_no_int(bad):
+    # run_claims clamps an override into the caps, so min(True, 6) would
+    # run the claim at max_len True, and min(10.5, 6) at 6
+    with pytest.raises(ValueError, match="^max_len must be an int"):
+        run_claims("npbig", max_len=bad)
+    with pytest.raises(ValueError, match="^max_pair_len must be an int"):
+        run_claims("nielsen-xcheck", max_len=bad)
+    with pytest.raises(ValueError, match="^truncation must be an int"):
+        run_claims("section3", truncation=bad)
+    # an int still clamps
+    assert run_claims("npbig", rank=2, max_len=-3)[0].parameters == {"rank": 2, "max_len": 0}
+
+
 def test_density_frozen_rows():
     rows = primitive_density(2, 3)
     assert rows[0] == (1, 4, 4, 1.0)

@@ -188,6 +188,12 @@ def test_cyclic_reduce_fixed_point():
     assert c.letters == ()
 
 
+def test_cyclic_reduce_refuses_input_that_is_no_word():
+    for bad in ("abA", (1, 2, -1), CyclicWord(parse_word("ab"))):
+        with pytest.raises(TypeError, match=f"u must be Word, got {type(bad).__name__}"):
+            cyclically_reduce(bad)
+
+
 def test_cyclic_reduce_empty():
     core, c = cyclically_reduce(Word())
     assert len(core) == 0 and c.letters == ()
@@ -273,6 +279,14 @@ def test_conjugation_by_random_element():
         assert are_conjugate(w, g * w * g.inverse())
 
 
+
+def test_conjugate_refuses_input_that_is_no_word():
+    with pytest.raises(TypeError, match="u must be Word, got str"):
+        are_conjugate("ab", parse_word("ba"))
+    with pytest.raises(TypeError, match="v must be Word, got tuple"):
+        are_conjugate(parse_word("ab"), (2, 1))
+
+
 # ------------------------------------------------------------ commutator
 
 def test_commutator_of_generators():
@@ -295,6 +309,14 @@ def test_commutator_self_trivial():
 def test_commutator_inverse_swaps_arguments():
     u, v = parse_word("ab"), parse_word("bA")
     assert commutator(u, v).inverse() == commutator(v, u)
+
+
+
+def test_commutator_refuses_input_that_is_no_word():
+    with pytest.raises(TypeError, match="u must be Word, got str"):
+        commutator("a", parse_word("b"))
+    with pytest.raises(TypeError, match="v must be Word, got tuple"):
+        commutator(parse_word("a"), (2,))
 
 
 # ---------------------------------------------------------- parse / format
@@ -368,6 +390,12 @@ def test_format_form_a_with_runs():
     assert format_word(Word([1])) == "a"
     assert format_word(Word()) == ""
     assert format_word(Word([-2, -2, -2])) == "B^3"
+
+
+def test_format_refuses_input_that_is_no_word():
+    for bad in ("ab", (1, 2), CyclicWord(parse_word("ab"))):
+        with pytest.raises(TypeError, match=f"w must be Word, got {type(bad).__name__}"):
+            format_word(bad)
 
 
 def test_format_form_b_above_alphabet():
