@@ -65,6 +65,7 @@ from .words import (
     CyclicWord,
     Word,
     _Record,
+    _check_int,
     _cyclic_strip,
     _letters_of,
     _reduce_tuple,
@@ -407,6 +408,8 @@ def primitive_orbit_oracle(rank: int, max_len: int) -> set[Word]:
     then returns all reduced words whose cyclic core landed in the closure.
     Exponential in max_len; capped to small ranks on purpose.
     """
+    _check_int("rank", rank)
+    _check_int("max_len", max_len)
     if not 1 <= rank <= ORACLE_RANK_CAP:
         raise ValueError(f"oracle rank cap is {ORACLE_RANK_CAP}, got {rank}")
     if not 1 <= max_len <= ORACLE_LEN_CAP:

@@ -29,14 +29,17 @@ walks at the basepoint, which is what contains() checks.  The subgroup's
 rank is edges - vertices + 1, and the subgroup is everything exactly when
 the graph is the rose: one vertex carrying one loop per generator.  Every
 graph is folded, so a one vertex graph carries each label at most once,
-and the rose test reads the counts alone: it never numbers a graph.
+and the rose test, _is_rose, reads the label tables alone: it never
+numbers a graph.  generates_whole_group and the sweeps in verify, which
+fold letters without building a SubgroupGraph, both call it.
 """
 
 from __future__ import annotations
 
 from random import Random
 
-from .words import Word, _is_letter, _letters_of, check_rank, letter_key, letter_name
+from .words import Word, _check_int, _is_int, _is_letter, _letters_of, check_rank
+from .words import letter_key, letter_name
 
 __all__ = ["SubgroupGraph", "build_subgroup_graph"]
 
@@ -60,13 +63,12 @@ class SubgroupGraph:
 
     def __init__(self, rank: int, num_vertices: int, edges):
         check_rank((), rank)
-        if not _is_index(num_vertices):
-            raise ValueError(f"vertex count must be an int, got {num_vertices!r}")
+        _check_int("vertex count", num_vertices)
         if num_vertices < 1:
             raise ValueError("need at least the basepoint vertex")
         tables: list[dict] = [{} for _ in range(num_vertices)]
         for u, label, v in edges:
-            if not all(_is_index(end) and 0 <= end < num_vertices for end in (u, v)):
+            if not all(_is_int(end) and 0 <= end < num_vertices for end in (u, v)):
                 raise ValueError(f"edge ({u}, {label}, {v}) off the vertex range")
             if not _is_letter(label) or not 1 <= label <= rank:
                 raise ValueError(f"edge label {label} outside 1..{rank}")
@@ -107,8 +109,7 @@ class SubgroupGraph:
         return self.num_edges - self.num_vertices + 1
 
     def generates_whole_group(self) -> bool:
-        # folded, so one vertex carries each of the rank labels at most once
-        return self.num_vertices == 1 and self.num_edges == self.rank
+        return _is_rose(self._tables, self._find, self.rank)
 
     def contains(self, w: Word) -> bool:
         """Whether the reduced word w lies in the subgroup."""
@@ -207,11 +208,6 @@ def _fold(tables: list, pending: list, rng: Random | None):
     return find
 
 
-def _is_index(v) -> bool:
-    # a vertex number is an int; bool is an int subclass but no index
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _same(v: int) -> int:
     """The find of tables that were never folded: each vertex is its class."""
     return v
@@ -244,9 +240,8 @@ def _fold_letters(words, rng: Random | None = None) -> tuple:
     """Write the wedge of one loop per letter tuple in words at the
     basepoint into label tables, fold it, and return (tables, find) as
     _fold leaves them.  Each tuple must be a reduced word, and empty ones
-    are skipped; no letter is checked here.  The subgroup is the whole
-    group exactly when the folded graph is the rose: one live table,
-    find(0)'s, holding all 2 * rank signed labels.
+    are skipped; no letter is checked here.  _is_rose reads off the
+    result whether the words generate the whole group.
     """
     tables: list = [{}]
     pending: list = []
@@ -270,6 +265,15 @@ def _fold_letters(words, rng: Random | None = None) -> tuple:
     # the basepoint; every edge lies on such a walk, hence no vertex but
     # the basepoint is left with degree <= 1.
     return tables, _fold(tables, pending, rng)
+
+
+def _is_rose(tables: list, find, rank: int) -> bool:
+    """Whether folded label tables, with their find, are the rose, the
+    graph of the whole group: one live table, find(0)'s, holding all
+    2 * rank signed labels.  The tables are folded, so that table carries
+    each label at most once.  The one rose test.
+    """
+    return len(tables) - tables.count(None) == 1 and len(tables[find(0)]) == 2 * rank
 
 
 def build_subgroup_graph(

@@ -36,12 +36,13 @@ from itertools import product
 from typing import Callable, Iterator, NamedTuple
 
 from .primitivity import _basis_pair_letters, _minimize_letters, is_primitive, whitehead_minimize
-from .stallings import _fold_letters, build_subgroup_graph
-from .whitehead_graph import _cyclic_matrix, _separability, edge_matrix
+from .stallings import _fold_letters, _is_rose, build_subgroup_graph
+from .whitehead_graph import _cyclic_matrix, _separability, edge_matrix, whitehead_edges
 from .words import (
     Word,
     _FrozenRecord,
     _Record,
+    _check_int,
     _cyclic_strip,
     canonical_rotation,
     count_reduced_words,
@@ -105,6 +106,7 @@ def reports_to_json(reports) -> str:
 
 def build_w(rank: int) -> Word:
     """The seed word e1^2 e_n^2 e1 e2^-1 e1 e2 e3^-1 e2 ... of length 3n+1."""
+    _check_int("rank", rank)
     if rank < 2:
         raise ValueError(f"need rank >= 2, got {rank}")
     letters = [1, 1, rank, rank]
@@ -166,20 +168,14 @@ def select_wij(a: Word, fam: WijFamily) -> tuple[int, int]:
 
     The rule only needs the magnitudes of the boundary letters of a: avoid
     i equal to the last one and j equal to the first one.  Signs do not
-    matter.  Empty a gets (1, 1).
+    matter, and the least index other than a given one is 1, or 2 when
+    that one is 1.  Empty a gets (1, 1).
     """
     if not a.letters:
         return (1, 1)
-    first = abs(a.letters[0])
-    last = abs(a.letters[-1])
-    for i in range(1, fam.rank + 1):
-        if i == last:
-            continue
-        for j in range(1, fam.rank + 1):
-            if j == first:
-                continue
-            return (i, j)
-    raise ValueError("no valid pair; family rank must be >= 2")
+    if fam.rank < 2:
+        raise ValueError("no valid pair; family rank must be >= 2")
+    return (1 + (abs(a.letters[-1]) == 1), 1 + (abs(a.letters[0]) == 1))
 
 
 # --- individual claims ---
@@ -236,8 +232,9 @@ def _block_table(letters: tuple[int, ...], rank: int) -> tuple[int | None, ...]:
     """
 
     def certified(p: int, e: int) -> bool:
-        edges = [(letters[k], -letters[k + 1]) for k in range(p, e - 1)]
-        m = edge_matrix(edges, sorted({abs(x) for x in letters[p:e]}))
+        block = letters[p:e]
+        # the cyclic edges of the block but the last, its wrap-around edge
+        m = edge_matrix(whitehead_edges(block)[:-1], sorted({abs(x) for x in block}))
         return not _separability(m, rank)[0]
 
     n = len(letters)
@@ -547,10 +544,7 @@ def _nielsen_xcheck(max_pair_len: int):
                 break  # ball is sorted by length
             checked += 1
             by_commutator = _basis_pair_letters(a, b)
-            # the rose: one live vertex, whose table holds all four labels
-            tables, find = _fold_letters((a, b))
-            by_rose = len(tables) - tables.count(None) == 1 and len(tables[find(0)]) == 4
-            ok = by_commutator == by_rose
+            ok = by_commutator == _is_rose(*_fold_letters((a, b)), 2)
             if ok and by_commutator:
                 basis_pairs += 1
                 if a_primitive is None:
@@ -595,10 +589,9 @@ def verify_claim_one(truncation: int) -> VerificationReport:
 def _claim_one(truncation: int):
     counterexamples = []
     checks = 0
+    prod = _b_word(1)
     for n in range(1, truncation + 1):
-        prod = Word([])
-        for i in range(1, n + 2):
-            prod = prod * _b_word(i)
+        prod = prod * _b_word(n + 1)  # b_1 ... b_{n+1}
         checks += 1
         if prod != _c_word(n + 1):
             counterexamples.append(format_word(prod))
@@ -707,12 +700,6 @@ def _allowed(cap, params: dict):
     return cap(params["rank"]) if callable(cap) else cap
 
 
-def _check_int(name: str, value) -> None:
-    # a bool is an int subclass, and 3.0 == 3, but neither is a count
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-
-
 def _check_caps(caps: dict, params: dict) -> None:
     """Raise ValueError unless every capped parameter is an int with an
     allowed value."""
@@ -743,9 +730,6 @@ class _Claim(NamedTuple):
     caps: dict
     length_param: str = "max_len"
 
-    def allowed(self, name: str, params: dict):
-        return _allowed(self.caps[name], params)
-
     def run(self, **params) -> VerificationReport:
         _check_caps(self.caps, params)
         t0 = time.perf_counter()
@@ -760,7 +744,7 @@ class _Claim(NamedTuple):
         for name, value in ((self.length_param, max_len), ("truncation", truncation)):
             if value is not None and name in params:
                 _check_int(name, value)
-                allowed = self.allowed(name, params)
+                allowed = _allowed(self.caps[name], params)
                 params[name] = max(allowed.start, min(value, allowed[-1]))
         return params
 
@@ -845,6 +829,8 @@ def run_claims(
         claims = [_CLAIMS[claim_id]]
     else:
         raise ValueError(f"unknown claim id {claim_id!r}")
+    if rank is not None:
+        _check_int("rank", rank)
     reports = []
     for claim in claims:
         for params in claim.grid:

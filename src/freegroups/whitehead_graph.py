@@ -61,9 +61,8 @@ class WhiteheadGraph:
         check_rank((), rank)
         edges = list(edges)
         for x, y in edges:
-            for v in (x, y):
-                if not _is_letter(v) or abs(v) > rank:
-                    raise ValueError(f"vertex {v} not a letter of rank {rank}")
+            _check_vertex(x, rank)
+            _check_vertex(y, rank)
         self._set(rank, edges)
 
     def _set(self, rank: int, edges: list) -> None:
@@ -96,8 +95,7 @@ class WhiteheadGraph:
 
     def degree(self, v: int) -> int:
         # a loop contributes 2; a letter of a generator that does not occur, 0
-        if not _is_letter(v) or abs(v) > self.rank:
-            raise ValueError(f"vertex {v} not a letter of rank {self.rank}")
+        _check_vertex(v, self.rank)
         if v not in self._names:
             return 0
         return sum(self._matrix[self._names.index(v)].values())
@@ -129,6 +127,12 @@ class WhiteheadGraph:
 
     def __repr__(self) -> str:
         return f"WhiteheadGraph(rank={self.rank}, edges={self.edge_count})"
+
+
+def _check_vertex(v, rank: int) -> None:
+    """Raise ValueError unless v is a letter of the given rank."""
+    if not _is_letter(v) or abs(v) > rank:
+        raise ValueError(f"vertex {v} not a letter of rank {rank}")
 
 
 def _separation(m: list[dict[int, int]]) -> tuple[int, list[int]]:

@@ -47,12 +47,24 @@ def letter_name(x: int) -> str:
     return f"e{x}" if x > 0 else f"e{-x}^-1"
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int.  A bool is an int subclass, and 3.0 == 3, but
+    neither is a count, an index or a letter.  The one integer test."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_int(name: str, value) -> None:
+    """Raise ValueError unless value is an int, naming the parameter."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def check_rank(letters: Iterable[int], rank: int) -> None:
     """Raise ValueError unless rank is an int >= 1 and every letter fits
-    under it.  A bool is an int subclass but no rank."""
+    under it."""
     # type() is int first: the common case costs one test on every call
-    if type(rank) is not int and (not isinstance(rank, int) or isinstance(rank, bool)):
-        raise ValueError(f"rank must be an int, got {rank!r}")
+    if type(rank) is not int:
+        _check_int("rank", rank)
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     for x in letters:
@@ -61,8 +73,8 @@ def check_rank(letters: Iterable[int], rank: int) -> None:
 
 
 def _is_letter(x) -> bool:
-    # a nonzero int; bool is an int subclass but no letter
-    return isinstance(x, int) and not isinstance(x, bool) and x != 0
+    # a nonzero int; type() is int first, as in check_rank
+    return (type(x) is int or _is_int(x)) and x != 0
 
 
 def _reduce_tuple(seq: Iterable[int]) -> tuple[int, ...]:
@@ -440,6 +452,15 @@ def format_word(w: Word, rank: int | None = None) -> str:
     return " ".join(str(x) for x in letters)
 
 
+def _check_ball(rank: int, max_len: int) -> None:
+    """Raise ValueError unless rank is a rank and max_len an int >= 0:
+    the ball of reduced words both ball routines take."""
+    check_rank((), rank)
+    _check_int("max_len", max_len)
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
+
+
 def iter_reduced_words(
     rank: int, max_len: int, include_empty: bool = True
 ) -> Iterator[Word]:
@@ -447,9 +468,7 @@ def iter_reduced_words(
     in the standard letter order.  Deterministic and lazy: each length is a
     depth-first walk over its stems with an explicit stack, so memory is
     O(max_len) however large the ball."""
-    check_rank((), rank)
-    if max_len < 0:
-        raise ValueError(f"max_len must be >= 0, got {max_len}")
+    _check_ball(rank, max_len)
     alphabet = letter_order(rank)
     if include_empty:
         yield Word._wrap(())
@@ -480,8 +499,6 @@ def iter_reduced_words(
 def count_reduced_words(rank: int, max_len: int) -> int:
     """Number of reduced words of length <= max_len, the empty word included:
     1 + sum over k of 2n (2n-1)^(k-1)."""
-    check_rank((), rank)
-    if max_len < 0:
-        raise ValueError(f"max_len must be >= 0, got {max_len}")
+    _check_ball(rank, max_len)
     n2 = 2 * rank
     return 1 + sum(n2 * (n2 - 1) ** (k - 1) for k in range(1, max_len + 1))

@@ -115,6 +115,57 @@ def test_the_descent_never_reads_the_lemma():
     assert "_separability" in names_used(routines["is_primitive"])
 
 
+def bool_tests(tree):
+    """The isinstance calls of a module whose class argument names bool."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and "bool" in names_used(node.args[1])
+    ]
+
+
+def test_the_integer_rule_lives_in_words():
+    # "an int that is not a bool" is written once, as words._is_int, and
+    # its message once, as words._check_int; every other module calls them
+    for form in ("isinstance(x, bool)", "not isinstance(x, (int, bool))"):
+        assert bool_tests(ast.parse(form)) == [1], form
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in Path(freegroups.__file__).parent.glob("*.py")
+    }
+    assert {name for name, tree in trees.items() if bool_tests(tree)} == {"words.py"}
+    for rule in ("_is_int", "_check_int"):
+        owners = {
+            name
+            for name, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == rule
+        }
+        assert owners == {"words.py"}, rule
+
+
+def test_the_rose_test_lives_in_stallings():
+    # the sweep reads the folded tables through stallings._is_rose, the
+    # test generates_whole_group makes, and never reads them itself
+    used = names_used(functions("verify")["_nielsen_xcheck"])
+    assert "_is_rose" in used
+    assert used & {"find", "count"} == set()
+    assert "_is_rose" in functions("stallings")
+    tree = ast.parse((Path(freegroups.__file__).parent / "stallings.py").read_text())
+    (graph,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SubgroupGraph"]
+    (method,) = [n for n in graph.body if getattr(n, "name", None) == "generates_whole_group"]
+    assert "_is_rose" in names_used(method)
+
+
+def test_the_block_table_reads_the_whitehead_edges():
+    # a block's path edges are its cyclic edges minus the wrap-around one
+    assert "whitehead_edges" in names_used(functions("verify")["_block_table"])
+
+
 def test_names_used_sees_imports_and_attributes():
     tree = ast.parse("from .primitivity import is_basis_pair_f2 as f\nwhitehead_graph.WhiteheadGraph")
     assert {"is_basis_pair_f2", "f", "WhiteheadGraph"} <= names_used(tree)

@@ -741,6 +741,26 @@ def test_oracle_caps():
         primitive_orbit_oracle(0, 3)
 
 
+@pytest.mark.parametrize(
+    "rank,max_len,message",
+    [
+        (2, True, "max_len must be an int, got True"),
+        (2, 2.5, "max_len must be an int, got 2.5"),
+        (True, 2, "rank must be an int, got True"),
+        (2.0, 2, "rank must be an int, got 2.0"),
+    ],
+)
+def test_oracle_refuses_a_rank_or_length_that_is_no_int(rank, max_len, message, monkeypatch):
+    # the values are checked before any orbit is closed, which is
+    # exponential in max_len
+    def closure(*args):
+        raise AssertionError("the oracle began closing orbits")
+
+    monkeypatch.setattr(primitivity, "enumerate_kind1", closure)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        primitive_orbit_oracle(rank, max_len)
+
+
 def test_minimizer_matches_oracle_rank2():
     oracle = primitive_orbit_oracle(2, 5)
     for w in iter_reduced_words(2, 5, include_empty=True):

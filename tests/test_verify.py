@@ -23,6 +23,7 @@ from freegroups.primitivity import (
 )
 from freegroups.verify import (
     _CLAIMS,
+    _allowed,
     _block_table,
     _not_primitive,
     CLAIM_IDS,
@@ -63,6 +64,17 @@ def test_build_w_frozen():
         assert len(build_w(n)) == 3 * n + 1
     with pytest.raises(ValueError):
         build_w(1)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, 3.0])
+def test_build_w_refuses_a_rank_that_is_no_int(bad):
+    # a float rank would reach range(), and True would be refused as a
+    # rank below 2
+    message = f"^rank must be an int, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        build_w(bad)
+    with pytest.raises(ValueError, match=message):
+        wij_family(bad)
 
 
 def test_wij_family_shape():
@@ -109,6 +121,30 @@ def test_select_wij_frozen():
     assert select_wij(parse_word("A"), fam3) == (2, 2)
     assert select_wij(parse_word("BA"), fam2) == (2, 1)  # signs ignored
     assert select_wij(parse_word("ab"), fam2) == (1, 2)
+
+
+def select_wij_by_search(a, fam):
+    """The least (i, j) with i not the last index of a and j not its first,
+    found by trying every pair in order."""
+    if not a.letters:
+        return (1, 1)
+    first = abs(a.letters[0])
+    last = abs(a.letters[-1])
+    for i in range(1, fam.rank + 1):
+        if i == last:
+            continue
+        for j in range(1, fam.rank + 1):
+            if j == first:
+                continue
+            return (i, j)
+    raise ValueError("no valid pair; family rank must be >= 2")
+
+
+@pytest.mark.parametrize("rank,max_len", [(2, 7), (3, 5), (4, 4), (5, 3)])
+def test_select_wij_matches_the_search(rank, max_len):
+    fam = wij_family(rank)
+    for a in iter_reduced_words(rank, max_len):
+        assert select_wij(a, fam) == select_wij_by_search(a, fam), a
 
 
 def test_select_wij_refuses_a_rank_1_family():
@@ -702,6 +738,14 @@ def test_run_claims_all_small():
     assert reports[8].parameters["truncation"] == 2
 
 
+@pytest.mark.parametrize("bad", ["2", True, 2.0])
+def test_run_claims_refuses_a_rank_that_is_no_int(bad):
+    # the rank filters the grid entries, so a rank that is no int must not
+    # silently select some of them
+    with pytest.raises(ValueError, match=f"^rank must be an int, got {re.escape(repr(bad))}$"):
+        run_claims(rank=bad)
+
+
 def test_run_claims_rank_filter():
     # entries pinned to another rank drop out; rank-free entries stay
     reports = run_claims(rank=2, max_len=1, truncation=2)
@@ -798,6 +842,6 @@ def test_readme_claim_table_matches_claims():
                 if len(specs) > 1:
                     specs = [s.removesuffix(suffix) for s in specs if s.endswith(suffix)]
                 assert len(specs) == 1, (claim_id, name, rank)
-                allowed = claim.allowed(name, {"rank": rank})
+                allowed = _allowed(claim.caps[name], {"rank": rank})
                 parsed = _cap_values(specs[0], rank)
                 assert (type(parsed), parsed) == (type(allowed), allowed), (claim_id, name, rank)

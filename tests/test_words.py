@@ -499,6 +499,9 @@ def test_ball_rejects_negative_length():
         (-1, 3, "rank must be >= 1, got -1"),
         (0, 2, "rank must be >= 1, got 0"),
         (2, -4, "max_len must be >= 0, got -4"),
+        # a bool is an int subclass, but neither it nor a float is a length
+        (2, True, "max_len must be an int, got True"),
+        (2, 2.5, "max_len must be an int, got 2.5"),
     ],
 )
 def test_ball_count_refuses_what_the_walk_refuses(rank, max_len, message):
