@@ -20,13 +20,14 @@ from freegroups import (
 # the seed word of the covering family, rank 2 and 3 instances
 print("seed words:", format_word(build_w(2)), "and", format_word(build_w(3)))
 
-# the n^2 translates e_i w e_j, and the selection rule that keeps the
-# product with a given word cyclically reduced
+# the n^2 translates e_i w e_j, a fresh dict keyed by (i, j), and the
+# selection rule that keeps the product with a given word cyclically
+# reduced; the rule reads only the word
 fam = wij_family(2)
 for text in ("", "ba", "Ab"):
     a = parse_word(text)
-    i, j = select_wij(a, fam)
-    t = fam.table[i, j] * a
+    i, j = select_wij(a)
+    t = fam[i, j] * a
     print(f"a = {text!r:5} -> pair ({i}, {j}), translate {format_word(t)}")
 
 # the per word claim: every selected translate is non-primitive

@@ -28,7 +28,6 @@ from .stallings import SubgroupGraph, build_subgroup_graph
 from .verify import (
     CLAIM_IDS,
     VerificationReport,
-    WijFamily,
     build_w,
     make_report,
     primitive_density,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-from .words import Word, _FrozenRecord, _is_letter, _reduce_tuple, check_rank
+from .words import Word, _FrozenRecord, _is_letter, _letters_of, _reduce_tuple, check_rank
 from .words import letter_key, letter_name, letter_order
 
 RANK_CAP = 8  # enumerate_kind2 refuses anything bigger
@@ -46,9 +46,6 @@ class PermutationAut(_FrozenRecord):
         return sorted(abs(x) for x in self.images) == list(
             range(1, len(self.images) + 1)
         )
-
-    def apply(self, w: Word) -> Word:
-        return apply_aut(self, w)
 
     def inverse(self) -> "PermutationAut":
         inv = [0] * len(self.images)
@@ -77,9 +74,6 @@ class MultiplierAut(_FrozenRecord):
         if not _is_letter(self.multiplier) or not all(map(_is_letter, self.members)):
             return False
         return self.multiplier in self.members and -self.multiplier not in self.members
-
-    def apply(self, w: Word) -> Word:
-        return apply_aut(self, w)
 
     def inverse(self) -> "MultiplierAut":
         a = self.multiplier
@@ -126,12 +120,13 @@ def apply_aut(aut, w: Word) -> Word:
     Rejects invalid descriptors, and for kind 1 rejects words whose indices
     fall outside the permutation.
     """
+    letters = _letters_of(w, "w")
     if not aut.is_valid():
         raise ValueError(f"invalid automorphism descriptor: {aut!r}")
     if isinstance(aut, PermutationAut):
-        check_rank(w.letters, len(aut.images))
-        return Word._wrap(_apply_k1_letters(aut.images, w.letters))
-    return Word._wrap(_apply_k2_letters(aut.multiplier, aut.members, w.letters))
+        check_rank(letters, len(aut.images))
+        return Word._wrap(_apply_k1_letters(aut.images, letters))
+    return Word._wrap(_apply_k2_letters(aut.multiplier, aut.members, letters))
 
 
 def enumerate_kind1(rank: int) -> list[PermutationAut]:

@@ -40,10 +40,10 @@ from .stallings import _fold_letters, _is_rose, build_subgroup_graph
 from .whitehead_graph import _cyclic_matrix, _separability, edge_matrix, whitehead_edges
 from .words import (
     Word,
-    _FrozenRecord,
     _Record,
     _check_int,
     _cyclic_strip,
+    _letters_of,
     canonical_rotation,
     count_reduced_words,
     format_word,
@@ -118,64 +118,31 @@ def build_w(rank: int) -> Word:
     return w
 
 
-class _ReadOnlyDict(dict):
-    """A dict that refuses every change once built.  A MappingProxyType can
-    be neither pickled nor deep-copied; this goes through its constructor."""
-
-    __slots__ = ()
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("the table is read-only")
-
-    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
-
-    def __reduce__(self):
-        return type(self), (dict(self),)
-
-
-class WijFamily(_FrozenRecord):
-    """The n^2 translating words e_i w e_j indexed by (i, j).  The family
-    keeps a read-only copy of the table, and hashes by rank and w."""
-
-    __slots__ = ("rank", "w", "table")
-
-    def __init__(self, rank: int, w: Word, table: dict):
-        if len(table) != rank * rank:
-            raise ValueError(
-                f"need {rank * rank} translates for rank {rank}, got {len(table)}"
-            )
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "table", _ReadOnlyDict(table))
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.w))
-
-
-def wij_family(rank: int) -> WijFamily:
+def wij_family(rank: int) -> dict[tuple[int, int], Word]:
+    """The n^2 translating words e_i w e_j of the seed word w, as a fresh
+    dict keyed by (i, j)."""
     w = build_w(rank)
-    table = {
+    return {
         (i, j): Word([i]) * w * Word([j])
         for i in range(1, rank + 1)
         for j in range(1, rank + 1)
     }
-    return WijFamily(rank=rank, w=w, table=table)
 
 
-def select_wij(a: Word, fam: WijFamily) -> tuple[int, int]:
+def select_wij(a: Word) -> tuple[int, int]:
     """Pick the least (i, j) whose translate e_i w e_j a is cyclically
     reduced with no cancellation at the junction.
 
     The rule only needs the magnitudes of the boundary letters of a: avoid
     i equal to the last one and j equal to the first one.  Signs do not
     matter, and the least index other than a given one is 1, or 2 when
-    that one is 1.  Empty a gets (1, 1).
+    that one is 1, so the pick is the same at every rank >= 2, the ranks
+    wij_family builds.  Empty a gets (1, 1).
     """
-    if not a.letters:
+    letters = _letters_of(a, "a")
+    if not letters:
         return (1, 1)
-    if fam.rank < 2:
-        raise ValueError("no valid pair; family rank must be >= 2")
-    return (1 + (abs(a.letters[-1]) == 1), 1 + (abs(a.letters[0]) == 1))
+    return (1 + (abs(letters[-1]) == 1), 1 + (abs(letters[0]) == 1))
 
 
 # --- individual claims ---
@@ -197,7 +164,7 @@ def _npbig(rank: int, max_len: int):
     checked = 0
     for a in iter_reduced_words(rank, max_len, include_empty=True):
         checked += 1
-        w, x = fam.table[select_wij(a, fam)].letters, a.letters
+        w, x = fam[select_wij(a)].letters, a.letters
         # w and a are reduced, so w a is reduced of length |w| + |a| exactly
         # when nothing cancels at the junction; w is never empty
         t = w + x
@@ -295,10 +262,9 @@ def _fincov(rank: int, max_len: int):
     first a certified block of w_ij that survives in the cyclic core, then
     the minimizer.  The block is read from the _block_table of w_ij,
     looked up once per sweep, so the first rung forms no product."""
-    fam = wij_family(rank)
     translates = [
-        (key, fam.table[key], _block_table(fam.table[key].letters, rank))
-        for key in sorted(fam.table)
+        (key, wij, _block_table(wij.letters, rank))
+        for key, wij in sorted(wij_family(rank).items())
     ]
     counterexamples = []
     histogram: dict[int, int] = {}
@@ -306,7 +272,7 @@ def _fincov(rank: int, max_len: int):
     checked = 0
     for a in iter_reduced_words(rank, max_len, include_empty=True):
         checked += 1
-        selected = select_wij(a, fam)
+        selected = select_wij(a)
         multiplicity = 0
         selected_covers = False
         for key, wij, table in translates:

@@ -202,7 +202,7 @@ class Word:
         return self.inverse()
 
     def __pow__(self, k: int) -> "Word":
-        if not isinstance(k, int):
+        if not _is_int(k):
             return NotImplemented
         base = self.letters if k >= 0 else self.inverse().letters
         return Word._wrap(_reduce_tuple(base * abs(k)))
@@ -357,13 +357,15 @@ def parse_word(text: str, rank: int | None = None) -> Word:
     Form is detected by content: any alphabetic character means form A,
     otherwise the text is split into signed decimal indices.  Malformed
     input and indices above a declared rank raise WordParseError with the
-    character position.
+    character position; a declared rank goes through check_rank first.
 
     >>> parse_word("abbA").letters
     (1, 2, 2, -1)
     >>> parse_word("1 2 2 -1") == parse_word("ab^2A")
     True
     """
+    if rank is not None:
+        check_rank((), rank)
     if any(c.isalpha() for c in text):
         letters = _parse_form_a(text, rank)
     elif not text.strip():
@@ -439,9 +441,12 @@ def format_word(w: Word, rank: int | None = None) -> str:
     """Canonical text for a word: form A when every index, and the rank if
     one is given, fits in 26 letters, form B otherwise.  Runs of a letter
     are compressed with ^k in form A.  The empty word formats as the empty
-    string.
+    string.  A given rank goes through check_rank, but the letters are not
+    checked against it.
     """
     letters = _letters_of(w, "w")
+    if rank is not None:
+        check_rank((), rank)
     if max(w.max_index, rank or 0) <= 26:
         parts = []
         for x, grp in groupby(letters):

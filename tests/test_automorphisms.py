@@ -154,11 +154,20 @@ def test_validity_refuses_float_and_bool_letters():
 
 
 def test_apply_methods_match_apply_aut():
+    # apply_aut is the one route; the descriptors keep no apply alias
     w = parse_word("abA")
     s = PermutationAut((-2, 1))
-    assert s.apply(w) == apply_aut(s, w) == Word([-2, 1, 2])
+    assert apply_aut(s, w) == Word([-2, 1, 2])
     t = MultiplierAut(1, frozenset({1, -2}))
-    assert t.apply(w) == apply_aut(t, w) == Word([2, -1])
+    assert apply_aut(t, w) == Word([2, -1])
+    assert not hasattr(s, "apply") and not hasattr(t, "apply")
+
+
+def test_apply_refuses_input_that_is_no_word():
+    for aut in (PermutationAut((2, 1)), MultiplierAut(1, frozenset({1, -2}))):
+        for bad in ("ab", (1, 2), None):
+            with pytest.raises(TypeError, match=f"^w must be Word, got {type(bad).__name__}$"):
+                apply_aut(aut, bad)
 
 
 # ------------------------------------------------------------- enumeration

@@ -166,6 +166,23 @@ def test_the_block_table_reads_the_whitehead_edges():
     assert "whitehead_edges" in names_used(functions("verify")["_block_table"])
 
 
+def test_the_covering_family_is_a_plain_table():
+    # wij_family returns a fresh dict, so verify keeps no family record,
+    # no guarded dict, and select_wij reads the word alone
+    tree = ast.parse((Path(freegroups.__file__).parent / "verify.py").read_text())
+    bases = {
+        node.name: names_used(ast.Module(body=node.bases, type_ignores=[]))
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    assert [name for name, used in bases.items() if "dict" in used] == []
+    records = [name for name, used in bases.items() if used & {"_Record", "_FrozenRecord"}]
+    assert records == ["VerificationReport"]
+    select = functions("verify")["select_wij"].args
+    assert [arg.arg for arg in select.posonlyargs + select.args + select.kwonlyargs] == ["a"]
+    assert select.vararg is None and select.kwarg is None
+
+
 def test_names_used_sees_imports_and_attributes():
     tree = ast.parse("from .primitivity import is_basis_pair_f2 as f\nwhitehead_graph.WhiteheadGraph")
     assert {"is_basis_pair_f2", "f", "WhiteheadGraph"} <= names_used(tree)

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from freegroups import primitivity
-from freegroups.automorphisms import MultiplierAut, _apply_k2_letters, enumerate_kind2
+from freegroups.automorphisms import MultiplierAut, _apply_k2_letters, apply_aut, enumerate_kind2
 from freegroups.primitivity import (
     MinimizationTrace,
     _find_move,
@@ -156,7 +156,7 @@ def test_high_rank_verdicts():
     while len(w) < 600:
         a = rng.choice(pool)
         members = {a} | {x for x in pool if abs(x) != abs(a) and rng.random() < 0.5}
-        w = MultiplierAut(a, frozenset(members)).apply(w)
+        w = apply_aut(MultiplierAut(a, frozenset(members)), w)
     assert is_primitive(w, 256) and is_primitive(w, 100_000)
     assert not is_primitive(commutator(Word([3]), Word([256])), 256)
     small = Word([{3: 1, 70: 2, 150: 3, 256: 4}[abs(x)] * (1 if x > 0 else -1) for x in w.letters])
@@ -486,7 +486,7 @@ def generator_image(rng, rank, length):
     while len(w) < length:
         a = rng.choice(pool)
         members = {a} | {x for x in pool if abs(x) != abs(a) and rng.random() < 0.5}
-        w = MultiplierAut(a, frozenset(members)).apply(w)
+        w = apply_aut(MultiplierAut(a, frozenset(members)), w)
     return w
 
 
@@ -523,8 +523,7 @@ def test_covering_translates_frozen():
     # length 3 are the family the long-words bench times, at a smaller
     # ball; they pin the enumeration-order policy on it.  All 1,683 are
     # non-primitive, and 252 of them take at least one step.
-    fam = wij_family(3)
-    translates = [wij * a for a in iter_reduced_words(3, 3) for wij in fam.table.values()]
+    translates = [wij * a for a in iter_reduced_words(3, 3) for wij in wij_family(3).values()]
     assert len(translates) == 1683
     verdicts = "".join("P" if is_primitive(t, 3) else "N" for t in translates)
     traces = [tr for tr in (whitehead_minimize(t, 3) for t in translates) if tr.steps]
@@ -594,8 +593,7 @@ def test_verdict_descent_matches_single_steps_on_balls(rank, max_len, count):
 
 
 def test_verdict_descent_matches_single_steps_on_covering_translates():
-    fam = wij_family(3)
-    translates = [wij * a for a in iter_reduced_words(3, 3) for wij in fam.table.values()]
+    translates = [wij * a for a in iter_reduced_words(3, 3) for wij in wij_family(3).values()]
     assert len(translates) == 1683
     for t in translates:
         single, verdict = terminal_lengths(t.letters, 3)

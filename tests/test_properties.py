@@ -219,7 +219,7 @@ def long_words(draw):
     for _ in range(draw(st.integers(0, 6))):
         a = draw(st.sampled_from(letters))
         others = draw(st.sets(st.sampled_from([x for x in letters if abs(x) != abs(a)])))
-        image = MultiplierAut(a, frozenset({a, *others})).apply(w)
+        image = apply_aut(MultiplierAut(a, frozenset({a, *others})), w)
         if len(image) > 60:
             break
         w = image

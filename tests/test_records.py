@@ -1,4 +1,4 @@
-"""The contract of the six small value classes.
+"""The contract of the five small value classes.
 
 Each class is built by position and by keyword, compares by value only
 against its own class, hashes by value when frozen and refuses hashing
@@ -17,13 +17,11 @@ import pytest
 
 from freegroups.automorphisms import MultiplierAut, PermutationAut
 from freegroups.primitivity import MinimizationTrace, whitehead_minimize
-from freegroups.verify import VerificationReport, WijFamily, build_w, wij_family
+from freegroups.verify import VerificationReport
 from freegroups.whitehead_graph import CutVertexVerdict
 from freegroups.words import CyclicWord, Word, parse_word
 
 MEMBERS = frozenset({1, -2})
-W = build_w(2)
-TABLE = wij_family(2).table
 ABABA = whitehead_minimize(parse_word("ababa", 2), 2)
 
 # (class, positional args, keyword args, pinned repr)
@@ -65,24 +63,15 @@ CASES = [
         "VerificationReport(claim_id='x', parameters={'n': 1}, status='pass', "
         "counterexamples=[], stats={'words': 2})",
     ),
-    (
-        WijFamily,
-        (2, W, TABLE),
-        {"rank": 2, "w": W, "table": TABLE},
-        "WijFamily(rank=2, w=Word('a^2b^2aBa'), table={"
-        "(1, 1): Word('a^3b^2aBa^2'), (1, 2): Word('a^3b^2aBab'), "
-        "(2, 1): Word('ba^2b^2aBa^2'), (2, 2): Word('ba^2b^2aBab')})",
-    ),
 ]
 IDS = [case[0].__name__ for case in CASES]
-FROZEN = {PermutationAut, MultiplierAut, CutVertexVerdict, WijFamily}
+FROZEN = {PermutationAut, MultiplierAut, CutVertexVerdict}
 FIELDS = {
     PermutationAut: ("images",),
     MultiplierAut: ("multiplier", "members"),
     CutVertexVerdict: ("connected", "cut_vertex", "separable"),
     MinimizationTrace: ("start", "steps", "final"),
     VerificationReport: ("claim_id", "parameters", "status", "counterexamples", "stats"),
-    WijFamily: ("rank", "w", "table"),
 }
 
 
@@ -122,7 +111,6 @@ def test_equality_sees_every_field():
     assert MinimizationTrace(Word([1])) != MinimizationTrace(Word([1]), final=CyclicWord([1]))
     report = VerificationReport("x", {}, "pass", [], {})
     assert report != VerificationReport("x", {}, "fail", [], {})
-    assert WijFamily(2, W, TABLE) != WijFamily(2, Word([1]), TABLE)
 
 
 def test_equality_across_classes_with_equal_fields():
@@ -137,8 +125,6 @@ def test_frozen_classes_hash_by_value():
     assert hash(MultiplierAut(1, MEMBERS)) == hash(MultiplierAut(1, frozenset({-2, 1})))
     assert hash(CutVertexVerdict(True, None, False)) == hash(CutVertexVerdict(True, None, False))
     assert len({MultiplierAut(1, MEMBERS), MultiplierAut(1, frozenset(MEMBERS))}) == 1
-    # a family hashes by rank and w, and keeps its table read-only
-    assert hash(WijFamily(2, W, TABLE)) == hash(wij_family(2))
 
 
 @pytest.mark.parametrize(
@@ -193,13 +179,6 @@ def test_trace_defaults():
     assert b.steps == []  # each trace starts with a list of its own
 
 
-def test_wij_family_checks_its_table():
-    with pytest.raises(ValueError, match="need 4 translates for rank 2, got 1"):
-        WijFamily(2, W, {(1, 1): W})
-    with pytest.raises(ValueError):
-        WijFamily(rank=3, w=W, table=TABLE)
-
-
 def test_import_loads_no_code_generation():
     script = (
         "import sys\n"
@@ -224,29 +203,3 @@ def test_words_pickle_and_copy_at_every_protocol(obj):
         back = pickle.loads(pickle.dumps(obj, proto))
         assert type(back) is type(obj) and back == obj and repr(back) == repr(obj)
     assert copy.copy(obj) == obj and copy.deepcopy(obj) == obj
-
-
-def test_wij_family_table_is_read_only():
-    source = dict(TABLE)
-    fam = WijFamily(2, W, source)
-    source.clear()  # the family holds a copy of its own
-    assert fam.table[1, 2] == TABLE[1, 2] and fam.table == TABLE
-    assert sorted(fam.table) == [(1, 1), (1, 2), (2, 1), (2, 2)]
-    assert list(fam.table.values()) == list(TABLE.values())
-    changes = [
-        lambda t: t.__setitem__((1, 1), W),
-        lambda t: t.__delitem__((1, 1)),
-        lambda t: t.clear(),
-        lambda t: t.pop((1, 1)),
-        lambda t: t.popitem(),
-        lambda t: t.setdefault((3, 3), W),
-        lambda t: t.update({(3, 3): W}),
-    ]
-    for change in changes:
-        with pytest.raises(TypeError, match="read-only"):
-            change(fam.table)
-    with pytest.raises(TypeError, match="read-only"):
-        fam.table |= {}
-    assert fam == wij_family(2) and hash(fam) == hash(wij_family(2))
-    for back in (pickle.loads(pickle.dumps(fam.table, 0)), copy.deepcopy(fam.table)):
-        assert back == TABLE and type(back) is type(fam.table)

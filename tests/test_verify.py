@@ -28,7 +28,6 @@ from freegroups.verify import (
     _not_primitive,
     CLAIM_IDS,
     VerificationReport,
-    WijFamily,
     build_w,
     primitive_density,
     reports_to_json,
@@ -79,16 +78,29 @@ def test_build_w_refuses_a_rank_that_is_no_int(bad):
 
 def test_wij_family_shape():
     fam = wij_family(2)
-    assert set(fam.table) == {(1, 1), (1, 2), (2, 1), (2, 2)}
-    for (i, j), word in fam.table.items():
+    assert type(fam) is dict
+    assert set(fam) == {(1, 1), (1, 2), (2, 1), (2, 2)}
+    for (i, j), word in fam.items():
         assert len(word) == 9  # 3n + 3, no cancellation
         assert word.letters[0] == i
         assert word.letters[-1] == j
     fam3 = wij_family(3)
-    assert len(fam3.table) == 9
-    assert all(len(w) == 12 for w in fam3.table.values())
-    with pytest.raises(ValueError):
-        WijFamily(rank=3, w=Word([1]), table={})
+    assert len(fam3) == 9
+    assert all(len(w) == 12 for w in fam3.values())
+
+
+def test_wij_family_is_a_fresh_dict_per_call():
+    # the sweeps build their own family, so a caller's changes to a
+    # returned dict reach neither another call nor any report
+    npbig, fincov = verify_npbig(2, 3).to_json(), verify_fincov(2, 3).to_json()
+    fam, other = wij_family(2), wij_family(2)
+    assert fam == other and fam is not other
+    fam[1, 1] = Word([1])
+    del fam[2, 2]
+    fam[3, 3] = Word([3])
+    assert other == wij_family(2) != fam and len(other) == 4
+    assert verify_npbig(2, 3).to_json() == npbig
+    assert verify_fincov(2, 3).to_json() == fincov
 
 
 def test_public_names_frozen():
@@ -96,7 +108,7 @@ def test_public_names_frozen():
     assert freegroups.__all__ == [
         "CLAIM_IDS", "CutVertexVerdict", "CyclicWord", "MinimizationTrace",
         "MultiplierAut", "PermutationAut", "SubgroupGraph", "VerificationReport",
-        "WhiteheadGraph", "WijFamily", "Word", "WordParseError", "apply_aut",
+        "WhiteheadGraph", "Word", "WordParseError", "apply_aut",
         "are_conjugate", "build_subgroup_graph", "build_w", "build_whitehead_graph",
         "canonical_rotation", "commutator", "count_reduced_words", "cyclically_reduce",
         "enumerate_kind1", "enumerate_kind2", "format_word", "is_basis_pair_f2",
@@ -113,27 +125,31 @@ def test_public_names_frozen():
 
 
 def test_select_wij_frozen():
-    fam2 = wij_family(2)
-    fam3 = wij_family(3)
-    assert select_wij(Word([]), fam2) == (1, 1)
+    assert select_wij(Word([])) == (1, 1)
     # first letter magnitude blocks j, last blocks i
-    assert select_wij(parse_word("ba"), fam2) == (2, 1)
-    assert select_wij(parse_word("A"), fam3) == (2, 2)
-    assert select_wij(parse_word("BA"), fam2) == (2, 1)  # signs ignored
-    assert select_wij(parse_word("ab"), fam2) == (1, 2)
+    assert select_wij(parse_word("ba")) == (2, 1)
+    assert select_wij(parse_word("A")) == (2, 2)
+    assert select_wij(parse_word("BA")) == (2, 1)  # signs ignored
+    assert select_wij(parse_word("ab")) == (1, 2)
 
 
-def select_wij_by_search(a, fam):
+def test_select_wij_refuses_input_that_is_no_word():
+    for bad in ("ab", (1, 2), None):
+        with pytest.raises(TypeError, match=f"^a must be Word, got {type(bad).__name__}$"):
+            select_wij(bad)
+
+
+def select_wij_by_search(a, rank):
     """The least (i, j) with i not the last index of a and j not its first,
     found by trying every pair in order."""
     if not a.letters:
         return (1, 1)
     first = abs(a.letters[0])
     last = abs(a.letters[-1])
-    for i in range(1, fam.rank + 1):
+    for i in range(1, rank + 1):
         if i == last:
             continue
-        for j in range(1, fam.rank + 1):
+        for j in range(1, rank + 1):
             if j == first:
                 continue
             return (i, j)
@@ -142,17 +158,8 @@ def select_wij_by_search(a, fam):
 
 @pytest.mark.parametrize("rank,max_len", [(2, 7), (3, 5), (4, 4), (5, 3)])
 def test_select_wij_matches_the_search(rank, max_len):
-    fam = wij_family(rank)
     for a in iter_reduced_words(rank, max_len):
-        assert select_wij(a, fam) == select_wij_by_search(a, fam), a
-
-
-def test_select_wij_refuses_a_rank_1_family():
-    # wij_family(1) refuses, so build the family by hand
-    fam = WijFamily(1, Word([1]), {(1, 1): Word([1])})
-    assert select_wij(Word(), fam) == (1, 1)
-    with pytest.raises(ValueError, match="family rank must be >= 2"):
-        select_wij(Word([1]), fam)
+        assert select_wij(a) == select_wij_by_search(a, rank), a
 
 
 def test_selected_translate_always_clean():
@@ -160,8 +167,7 @@ def test_selected_translate_always_clean():
     from freegroups.words import iter_reduced_words
 
     for a in iter_reduced_words(2, 4, include_empty=True):
-        i, j = select_wij(a, fam)
-        t = fam.table[i, j] * a
+        t = fam[select_wij(a)] * a
         assert len(t) == 9 + len(a)
         assert t.is_cyclically_reduced
 
@@ -235,7 +241,7 @@ def test_ladder_matches_minimizer_on_every_translate(rank, max_len, monkeypatch)
     fam = wij_family(rank)
     translates = not_reduced = 0
     for a in iter_reduced_words(rank, max_len, include_empty=True):
-        for wij in fam.table.values():
+        for wij in fam.values():
             t = wij * a
             table = _block_table(wij.letters, rank)
             # the reference is the descent alone, since is_primitive itself
@@ -244,7 +250,7 @@ def test_ladder_matches_minimizer_on_every_translate(rank, max_len, monkeypatch)
             assert _not_primitive(wij, table, a, rank) == (len(descent) != 1), (wij, a)
             translates += 1
             not_reduced += not t.is_cyclically_reduced
-    assert translates == len(fam.table) * sum(1 for _ in iter_reduced_words(rank, max_len))
+    assert translates == len(fam) * sum(1 for _ in iter_reduced_words(rank, max_len))
     assert not_reduced > 0
     # a weaker block table would send more translates to the minimizer
     assert len(minimized) == MINIMIZED[rank, max_len]
@@ -297,7 +303,7 @@ def test_fincov_reads_each_block_table_once(monkeypatch):
 
     monkeypatch.setattr(verify, "_block_table", counting_table)
     assert verify_fincov(3, 3).passed
-    assert sorted(reads) == sorted(w.letters for w in wij_family(3).table.values())
+    assert sorted(reads) == sorted(w.letters for w in wij_family(3).values())
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4, 5])
@@ -314,7 +320,7 @@ def test_block_table_matches_networkx(rank, monkeypatch):
     monkeypatch.setattr(whitehead_graph, "_separation", refuse)
     letters = [x for g in range(1, rank + 1) for x in (g, -g)]
     expected = {}
-    for wij in wij_family(rank).table.values():
+    for wij in wij_family(rank).values():
         w = wij.letters
         n = len(w)
         certified = {}

@@ -173,6 +173,13 @@ def test_pow():
     assert (a ** 0).letters == ()
 
 
+def test_pow_refuses_an_exponent_that_is_no_int():
+    # a bool is an int subclass, but no more an exponent than 2.0 is
+    for k in (True, False, 2.0, "2", None):
+        with pytest.raises(TypeError):
+            Word([1]) ** k
+
+
 # ------------------------------------------------------- cyclic reduction
 
 def test_cyclic_reduce_strips_conjugating_prefix():
@@ -383,6 +390,24 @@ def test_parse_rejects_index_above_rank():
         parse_word("1 5", rank=3)
     assert e.value.position == 2
     assert parse_word("ab", rank=2).letters == (1, 2)
+
+
+@pytest.mark.parametrize("rank", [True, False, 2.0, 2.5, "2"])
+def test_parse_and_format_refuse_a_rank_that_is_no_int(rank):
+    with pytest.raises(ValueError, match="^rank must be an int"):
+        parse_word("ab", rank)
+    with pytest.raises(ValueError, match="^rank must be an int"):
+        parse_word("1 2", rank)
+    with pytest.raises(ValueError, match="^rank must be an int"):
+        format_word(Word([27]), rank)
+
+
+def test_parse_and_format_refuse_a_rank_below_1():
+    for rank in (0, -3):
+        with pytest.raises(ValueError, match=f"^rank must be >= 1, got {rank}$"):
+            parse_word("", rank)
+        with pytest.raises(ValueError, match=f"^rank must be >= 1, got {rank}$"):
+            format_word(Word(), rank)
 
 
 def test_format_form_a_with_runs():
