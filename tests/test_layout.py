@@ -171,7 +171,7 @@ def test_the_covering_family_is_a_plain_table():
     # no guarded dict, and select_wij reads the word alone
     tree = ast.parse((Path(freegroups.__file__).parent / "verify.py").read_text())
     bases = {
-        node.name: names_used(ast.Module(body=node.bases, type_ignores=[]))
+        node.name: set().union(*map(names_used, node.bases))
         for node in tree.body
         if isinstance(node, ast.ClassDef)
     }
