@@ -29,7 +29,6 @@ from .verify import (
     CLAIM_IDS,
     VerificationReport,
     build_w,
-    make_report,
     primitive_density,
     run_claims,
     select_wij,

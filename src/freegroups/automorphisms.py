@@ -30,6 +30,16 @@ from .words import letter_key, letter_name, letter_order
 RANK_CAP = 8  # enumerate_kind2 refuses anything bigger
 
 
+def _name(x) -> str:
+    # a descriptor prints even when invalid: a non-letter shows as its repr
+    return letter_name(x) if _is_letter(x) else repr(x)
+
+
+def _check_valid(aut) -> None:
+    if not aut.is_valid():
+        raise ValueError(f"invalid automorphism descriptor: {aut!r}")
+
+
 class PermutationAut(_FrozenRecord):
     """Kind 1: generator i maps to the letter images[i-1]."""
 
@@ -48,6 +58,7 @@ class PermutationAut(_FrozenRecord):
         )
 
     def inverse(self) -> "PermutationAut":
+        _check_valid(self)
         inv = [0] * len(self.images)
         for i, y in enumerate(self.images, start=1):
             inv[abs(y) - 1] = i if y > 0 else -i
@@ -57,7 +68,7 @@ class PermutationAut(_FrozenRecord):
         return {"kind": 1, "images": list(self.images)}
 
     def __repr__(self) -> str:
-        imgs = ", ".join(letter_name(x) for x in self.images)
+        imgs = ", ".join(map(_name, self.images))
         return f"PermutationAut({imgs})"
 
 
@@ -76,6 +87,7 @@ class MultiplierAut(_FrozenRecord):
         return self.multiplier in self.members and -self.multiplier not in self.members
 
     def inverse(self) -> "MultiplierAut":
+        _check_valid(self)
         a = self.multiplier
         return MultiplierAut(-a, (self.members - {a}) | {-a})
 
@@ -87,8 +99,8 @@ class MultiplierAut(_FrozenRecord):
         }
 
     def __str__(self) -> str:
-        mem = ", ".join(letter_name(x) for x in sorted(self.members, key=letter_key))
-        return f"({letter_name(self.multiplier)}; {{{mem}}})"
+        mem = ", ".join(map(_name, sorted(self.members, key=letter_key)))
+        return f"({_name(self.multiplier)}; {{{mem}}})"
 
     def __repr__(self) -> str:
         return f"MultiplierAut{self}"
@@ -117,12 +129,13 @@ def _apply_k2_letters(a: int, members: frozenset[int], letters) -> tuple[int, ..
 def apply_aut(aut, w: Word) -> Word:
     """Image of a word under a Whitehead automorphism, reduced.
 
-    Rejects invalid descriptors, and for kind 1 rejects words whose indices
-    fall outside the permutation.
+    Rejects anything but a valid descriptor, and for kind 1 rejects words
+    whose indices fall outside the permutation.
     """
+    if not isinstance(aut, (PermutationAut, MultiplierAut)):
+        raise TypeError(f"aut must be PermutationAut or MultiplierAut, got {type(aut).__name__}")
     letters = _letters_of(w, "w")
-    if not aut.is_valid():
-        raise ValueError(f"invalid automorphism descriptor: {aut!r}")
+    _check_valid(aut)
     if isinstance(aut, PermutationAut):
         check_rank(letters, len(aut.images))
         return Word._wrap(_apply_k1_letters(aut.images, letters))

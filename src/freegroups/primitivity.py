@@ -66,12 +66,12 @@ from .words import (
     Word,
     _Record,
     _check_int,
+    _commutator_letters,
     _cyclic_strip,
     _letters_of,
     _reduce_tuple,
     canonical_rotation,
     check_rank,
-    commutator,
     format_word,
     iter_reduced_words,
 )
@@ -372,7 +372,7 @@ def is_primitive(w: Word, rank: int) -> bool:
 
 # least rotations of the cores of [e1, e2] and of its inverse [e2, e1]
 _F2_COMMUTATOR_ROTATIONS = tuple(
-    canonical_rotation(commutator(Word([x]), Word([y])).letters) for x, y in ((1, 2), (2, 1))
+    canonical_rotation(_commutator_letters((x,), (y,))) for x, y in ((1, 2), (2, 1))
 )
 
 
@@ -392,9 +392,7 @@ def is_basis_pair_f2(a: Word, b: Word) -> bool:
 def _basis_pair_letters(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """is_basis_pair_f2 on the letters of two reduced words of rank 2,
     which are not checked here."""
-    # a^-1 b^-1 is the inverse of b a
-    ba_inv = [-x for x in reversed(b + a)]
-    core = _cyclic_strip(_reduce_tuple(ba_inv + list(a + b)))[0]
+    core = _cyclic_strip(_commutator_letters(a, b))[0]
     return len(core) == 4 and canonical_rotation(core) in _F2_COMMUTATOR_ROTATIONS
 
 

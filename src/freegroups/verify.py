@@ -13,13 +13,16 @@ keys, the core's and its inverse's, at every rank.  The sweeps build
 their words from letters they already know are valid, so they call the
 letter-level routines beneath the public entries
 (_minimize_letters, _basis_pair_letters, _fold_letters, _separability),
-and no word is checked again per pair or per translate.  is_primitive
-answers non-separable cores by Whitehead's cut-vertex lemma, so prop24
-and npbig, which check that lemma, and the classifier and fincov, call
-the descent alone and never is_primitive.  Claim
+and no word is checked again per pair or per translate.  nielsen-xcheck
+and the stacked families claimI and lemma38 ask whether letter tuples
+generate the whole group one way: _fold_letters, read by _is_rose.
+is_primitive answers non-separable cores by Whitehead's cut-vertex
+lemma, so prop24 and npbig, which check that lemma, and the classifier
+and fincov, call the descent alone and never is_primitive.  Claim
 identifiers are short opaque tags; the claim table at the end of this
-module fixes them, with each claim's standard grid and caps.  Status is
-"pass" exactly when the counterexample list is empty.
+module fixes them, with each claim's standard grid and caps.  A report
+stores no status: it reads "pass" exactly when the counterexample list is
+empty, and "fail" otherwise.
 
 Reports serialize to stable JSON: keys sorted, two space indent, trailing
 newline, and the measured wall time zeroed out, so a rerun with identical
@@ -52,17 +55,26 @@ from .words import (
 )
 
 
-class VerificationReport(_Record):
-    __slots__ = ("claim_id", "parameters", "status", "counterexamples", "stats")
+def _status(counterexamples) -> str:
+    """The pass rule: "pass" exactly when there is no counterexample."""
+    return "fail" if counterexamples else "pass"
 
-    def __init__(
-        self, claim_id: str, parameters: dict, status: str, counterexamples: list, stats: dict
-    ):
+
+class VerificationReport(_Record):
+    """One checked claim.  Its status is read from its counterexamples, so
+    no report can disagree with them."""
+
+    __slots__ = ("claim_id", "parameters", "counterexamples", "stats")
+
+    def __init__(self, claim_id: str, parameters: dict, counterexamples: list, stats: dict):
         self.claim_id = claim_id
         self.parameters = parameters
-        self.status = status
         self.counterexamples = counterexamples
         self.stats = stats
+
+    @property
+    def status(self) -> str:
+        return _status(self.counterexamples)
 
     @property
     def passed(self) -> bool:
@@ -81,18 +93,6 @@ class VerificationReport(_Record):
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def make_report(claim_id, parameters, counterexamples, stats, seconds) -> VerificationReport:
-    stats = dict(stats)
-    stats["seconds"] = seconds
-    return VerificationReport(
-        claim_id=claim_id,
-        parameters=dict(parameters),
-        status="pass" if not counterexamples else "fail",
-        counterexamples=list(counterexamples),
-        stats=stats,
-    )
 
 
 def reports_to_json(reports) -> str:
@@ -525,23 +525,14 @@ def _nielsen_xcheck(max_pair_len: int):
 # --- the two stacked generating families and their witnesses ---
 
 
-def _b_word(i: int) -> Word:
-    # e_i e_{i+1}^2
-    return Word([i, i + 1, i + 1])
-
-
 def _power_tail(n: int) -> Word:
     # e2^3 ... e_{n+1}^3 e_{n+2}^2
-    letters = []
-    for t in range(2, n + 2):
-        letters += [t] * 3
-    letters += [n + 2] * 2
-    return Word(letters)
+    return Word._wrap(tuple(t for t in range(2, n + 2) for _ in range(3)) + (n + 2, n + 2))
 
 
 def _c_word(k: int) -> Word:
-    # e1 e2^3 ... e_k^3 e_{k+1}^2
-    return Word([1]) * _power_tail(k - 1)
+    # e1 e2^3 ... e_k^3 e_{k+1}^2, whose prefix of 3j letters is c_j
+    return Word._wrap((1,) + _power_tail(k - 1).letters)
 
 
 def verify_claim_one(truncation: int) -> VerificationReport:
@@ -553,27 +544,28 @@ def verify_claim_one(truncation: int) -> VerificationReport:
 
 
 def _claim_one(truncation: int):
+    """The claimI sweep.  Its generation test folds letter tuples with
+    _fold_letters and reads the rose off them with _is_rose."""
     counterexamples = []
     checks = 0
-    prod = _b_word(1)
+    # b[i - 1] is b_i = e_i e_{i+1}^2
+    b = [Word._wrap((i, i + 1, i + 1)) for i in range(1, truncation + 2)]
+    prod = b[0]
     for n in range(1, truncation + 1):
-        prod = prod * _b_word(n + 1)  # b_1 ... b_{n+1}
+        prod = prod * b[n]  # b_1 ... b_{n+1}
         checks += 1
         if prod != _c_word(n + 1):
             counterexamples.append(format_word(prod))
-        gens = [_b_word(i) for i in range(1, n + 1)] + [Word([n + 1])]
         checks += 1
-        if not build_subgroup_graph(gens, n + 1).generates_whole_group():
-            counterexamples.append(format_word(_b_word(n)))
-    graph = build_subgroup_graph(
-        [_b_word(i) for i in range(1, truncation + 1)], truncation + 1
-    )
+        if not _is_rose(*_fold_letters([w.letters for w in b[:n]] + [(n + 1,)]), n + 1):
+            counterexamples.append(format_word(b[n - 1]))
+    graph = build_subgroup_graph(b[:truncation], truncation + 1)
     checks += 1
     if graph.contains(Word([1])):
         counterexamples.append(format_word(Word([1])))
     checks += 1
     if graph.subgroup_rank() != truncation:
-        counterexamples.append(format_word(_b_word(truncation)))
+        counterexamples.append(format_word(b[truncation - 1]))
     return counterexamples, {"words_checked": checks, "subgroup_rank": graph.subgroup_rank()}
 
 
@@ -603,13 +595,16 @@ def verify_lemma38(truncation: int) -> VerificationReport:
 
 
 def _lemma38(truncation: int):
+    """The lemma38 sweep; its generation test is claimI's, on letters."""
     counterexamples = []
     checks = 0
     for n in range(1, truncation + 1):
-        gens = [_c_word(k) for k in range(1, n + 1)] + [Word([n + 1])]
+        c = _c_word(n)
+        # c_1, ..., c_n are the prefixes of c_n of 3, 6, ..., 3n letters
+        gens = [c.letters[: 3 * k] for k in range(1, n + 1)] + [(n + 1,)]
         checks += 1
-        if not build_subgroup_graph(gens, n + 1).generates_whole_group():
-            counterexamples.append(format_word(_c_word(n)))
+        if not _is_rose(*_fold_letters(gens), n + 1):
+            counterexamples.append(format_word(c))
         witness = _power_tail(n - 1)  # e2^3 ... e_n^3 e_{n+1}^2
         checks += 1
         if is_primitive(witness, n + 1):
@@ -634,7 +629,7 @@ def _section3(truncation: int):
         found, stats = sweep(truncation)
         counterexamples += found
         checks += stats["words_checked"]
-        statuses[claim_id] = "fail" if found else "pass"
+        statuses[claim_id] = _status(found)
     return counterexamples, {"words_checked": checks, "subclaims": statuses}
 
 
@@ -700,9 +695,8 @@ class _Claim(NamedTuple):
         _check_caps(self.caps, params)
         t0 = time.perf_counter()
         counterexamples, stats = self.sweep(**params)
-        return make_report(
-            self.claim_id, params, counterexamples, stats, time.perf_counter() - t0
-        )
+        stats = {**stats, "seconds": time.perf_counter() - t0}
+        return VerificationReport(self.claim_id, params, counterexamples, stats)
 
     def with_overrides(self, params: dict, max_len, truncation) -> dict:
         """params with the given overrides clamped into this claim's caps."""

@@ -39,11 +39,14 @@ def letter_key(x: int) -> tuple[int, bool]:
 
 def letter_order(rank: int) -> list[int]:
     """The 2n letters in canonical order e1, e1^-1, e2, e2^-1, ..."""
+    check_rank((), rank)
     return [s * i for i in range(1, rank + 1) for s in (1, -1)]
 
 
 def letter_name(x: int) -> str:
     """Display name of a letter, "e3" or "e3^-1"."""
+    if not _is_letter(x):
+        raise ValueError(f"a letter is a nonzero int, got {x!r}")
     return f"e{x}" if x > 0 else f"e{-x}^-1"
 
 
@@ -247,7 +250,8 @@ def _letters_of(w, what: str) -> tuple[int, ...]:
 
 def word_sort_key(w: Word) -> tuple:
     """Total order on words: by length, then letter by letter."""
-    return (len(w.letters), tuple(letter_key(x) for x in w.letters))
+    letters = _letters_of(w, "w")
+    return (len(letters), tuple(letter_key(x) for x in letters))
 
 
 class CyclicWord:
@@ -324,11 +328,16 @@ def canonical_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
     return letters[i:] + letters[:i]
 
 
+def _commutator_letters(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The reduced letters of a^-1 b^-1 a b, for the letters of two
+    reduced words, which are not checked here."""
+    # a^-1 b^-1 is the inverse of b a
+    return _reduce_tuple([-x for x in reversed(b + a)] + list(a + b))
+
+
 def commutator(u: Word, v: Word) -> Word:
     """The commutator u^-1 v^-1 u v, reduced."""
-    a, b = _letters_of(u, "u"), _letters_of(v, "v")
-    # u^-1 v^-1 is the inverse of v u
-    return Word._wrap(_reduce_tuple(tuple(-x for x in reversed(b + a)) + a + b))
+    return Word._wrap(_commutator_letters(_letters_of(u, "u"), _letters_of(v, "v")))
 
 
 def cyclically_reduce(u: Word) -> tuple[CyclicWord, Word]:

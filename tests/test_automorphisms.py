@@ -170,6 +170,28 @@ def test_apply_refuses_input_that_is_no_word():
                 apply_aut(aut, bad)
 
 
+def test_inverse_refuses_an_invalid_descriptor():
+    # inverse checks its descriptor as apply_aut does, and the message
+    # prints the descriptor, non-letters as their repr
+    for aut, text in (
+        (PermutationAut((2, 5)), "PermutationAut(e2, e5)"),
+        (PermutationAut((True, 2)), "PermutationAut(True, e2)"),
+        (MultiplierAut(1.0, frozenset()), "MultiplierAut(1.0; {})"),
+        (MultiplierAut(1, frozenset({1, -1})), "MultiplierAut(e1; {e1, e1^-1})"),
+    ):
+        assert repr(aut) == text
+        with pytest.raises(ValueError) as info:
+            aut.inverse()
+        assert str(info.value) == f"invalid automorphism descriptor: {text}"
+
+
+def test_apply_refuses_input_that_is_no_descriptor():
+    for bad in ("x", (1, 2), None, Word([1])):
+        message = f"^aut must be PermutationAut or MultiplierAut, got {type(bad).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            apply_aut(bad, Word([1]))
+
+
 # ------------------------------------------------------------- enumeration
 
 def test_enumeration_counts():

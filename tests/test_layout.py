@@ -12,6 +12,7 @@ import ast
 from pathlib import Path
 
 import freegroups
+from freegroups.verify import VerificationReport
 
 
 def imported_modules(tree):
@@ -182,6 +183,31 @@ def test_the_covering_family_is_a_plain_table():
     assert [arg.arg for arg in select.posonlyargs + select.args + select.kwonlyargs] == ["a"]
     assert select.vararg is None and select.kwarg is None
 
+
+def test_a_report_derives_its_status():
+    # the pass rule is written once, as verify._status: a report stores no
+    # status beside its counterexamples, and no helper fills one in
+    sweeps = functions("verify")
+    assert "make_report" not in sweeps
+    assert "status" not in VerificationReport.__slots__
+    assert "_status" in names_used(sweeps["_section3"])
+
+
+def test_the_generation_test_has_one_route():
+    # the sweeps fold letter tuples and read the rose off the tables
+    tree = ast.parse((Path(freegroups.__file__).parent / "verify.py").read_text())
+    assert "generates_whole_group" not in names_used(tree)
+    sweeps = functions("verify")
+    for name in ("_claim_one", "_lemma38", "_nielsen_xcheck"):
+        assert {"_is_rose", "_fold_letters"} <= names_used(sweeps[name]), name
+
+
+def test_the_commutator_letters_live_in_words():
+    # a^-1 b^-1 a b is built by words._commutator_letters alone
+    for module, name in (("words", "commutator"), ("primitivity", "_basis_pair_letters")):
+        used = names_used(functions(module)[name])
+        assert "_commutator_letters" in used, name
+        assert "reversed" not in used, name
 
 def test_names_used_sees_imports_and_attributes():
     tree = ast.parse("from .primitivity import is_basis_pair_f2 as f\nwhitehead_graph.WhiteheadGraph")

@@ -52,15 +52,14 @@ CASES = [
     ),
     (
         VerificationReport,
-        ("x", {"n": 1}, "pass", [], {"words": 2}),
+        ("x", {"n": 1}, [], {"words": 2}),
         {
             "claim_id": "x",
             "parameters": {"n": 1},
-            "status": "pass",
             "counterexamples": [],
             "stats": {"words": 2},
         },
-        "VerificationReport(claim_id='x', parameters={'n': 1}, status='pass', "
+        "VerificationReport(claim_id='x', parameters={'n': 1}, "
         "counterexamples=[], stats={'words': 2})",
     ),
 ]
@@ -71,7 +70,7 @@ FIELDS = {
     MultiplierAut: ("multiplier", "members"),
     CutVertexVerdict: ("connected", "cut_vertex", "separable"),
     MinimizationTrace: ("start", "steps", "final"),
-    VerificationReport: ("claim_id", "parameters", "status", "counterexamples", "stats"),
+    VerificationReport: ("claim_id", "parameters", "counterexamples", "stats"),
 }
 
 
@@ -109,8 +108,8 @@ def test_equality_sees_every_field():
         changed[i] = value
         assert CutVertexVerdict(*base) != CutVertexVerdict(*changed)
     assert MinimizationTrace(Word([1])) != MinimizationTrace(Word([1]), final=CyclicWord([1]))
-    report = VerificationReport("x", {}, "pass", [], {})
-    assert report != VerificationReport("x", {}, "fail", [], {})
+    report = VerificationReport("x", {}, [], {})
+    assert report != VerificationReport("x", {}, ["a"], {})
 
 
 def test_equality_across_classes_with_equal_fields():

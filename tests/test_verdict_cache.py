@@ -29,7 +29,7 @@ from freegroups.primitivity import (
 )
 from freegroups.stallings import build_subgroup_graph
 from freegroups.verify import (
-    make_report,
+    VerificationReport,
     primitive_density,
     verify_nielsen_xcheck,
     verify_prop24,
@@ -70,7 +70,7 @@ def reference_prop24(rank, max_len, separable=separable_by_graph):
         "primitives_found": primitives,
         "distinct_cores": len(separable_by_core),
     }
-    return make_report("prop24", {"rank": rank, "max_len": max_len}, counterexamples, stats, 0.0)
+    return VerificationReport("prop24", {"rank": rank, "max_len": max_len}, counterexamples, stats)
 
 
 def reference_density(rank, max_len):
@@ -100,8 +100,8 @@ def reference_nielsen_xcheck(max_pair_len):
             if not ok:
                 counterexamples.append(f"({format_word(a)}, {format_word(b)})")
     stats = {"words_checked": checked, "basis_pairs": basis_pairs}
-    return make_report(
-        "nielsen-xcheck", {"max_pair_len": max_pair_len}, counterexamples, stats, 0.0
+    return VerificationReport(
+        "nielsen-xcheck", {"max_pair_len": max_pair_len}, counterexamples, stats
     )
 
 

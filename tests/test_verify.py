@@ -113,7 +113,7 @@ def test_public_names_frozen():
         "canonical_rotation", "commutator", "count_reduced_words", "cyclically_reduce",
         "enumerate_kind1", "enumerate_kind2", "format_word", "is_basis_pair_f2",
         "is_primitive", "iter_reduced_words", "kind2_count", "letter_key", "letter_name",
-        "letter_order", "make_report", "parse_word", "primitive_density",
+        "letter_order", "parse_word", "primitive_density",
         "primitive_orbit_oracle", "run_claims", "select_wij", "verify_claim_one",
         "verify_claim_two", "verify_fact1", "verify_fincov", "verify_lemma38",
         "verify_nielsen_xcheck", "verify_npbig", "verify_prop24", "verify_section3",
@@ -520,6 +520,18 @@ def test_each_letter_route_is_consulted(monkeypatch, name, fake, claim, params):
     assert _CLAIMS[claim].run(**params).status == "fail"
 
 
+@pytest.mark.parametrize(
+    "claim,generators",
+    [("claimI", ["ab^2", "bc^2", "cd^2"]), ("lemma38", ["ab^2", "ab^3c^2", "ab^3c^3d^2"])],
+)
+def test_stacked_generation_reads_the_fold(monkeypatch, claim, generators):
+    # the generation test folds letters as nielsen-xcheck does: when only
+    # the first generator is folded, no n generates, and each n reports
+    # its own b_n or c_n
+    assert _CLAIMS[claim].run(truncation=3).passed
+    monkeypatch.setattr(verify, "_fold_letters", _fold_first_only)
+    assert _CLAIMS[claim].run(truncation=3).counterexamples == generators
+
 def test_npbig_hands_the_minimizer_the_matrix_it_tested(monkeypatch):
     # the two verdicts share the first Whitehead matrix and nothing else
     tested, handed = [], []
@@ -596,6 +608,14 @@ def test_stacked_family_words():
         parse_word(t) for t in ("b^2", "b^3c^2", "b^3c^3d^2")
     ]
 
+
+def test_stacked_family_prefixes():
+    # lemma38 reads c_1, ..., c_n as the prefixes of c_n of 3, 6, ..., 3n letters
+    for n in range(1, 12):
+        c = verify._c_word(n).letters
+        assert [c[: 3 * k] for k in range(1, n + 1)] == [
+            verify._c_word(k).letters for k in range(1, n + 1)
+        ]
 
 def test_section3_composite():
     r = verify_section3(2)
@@ -690,12 +710,29 @@ def test_report_pass_iff_no_counterexamples():
     fabricated = VerificationReport(
         claim_id="npbig",
         parameters={},
-        status="fail",
         counterexamples=["aa"],
         stats={"words_checked": 1, "seconds": 0.5},
     )
-    assert not fabricated.passed
+    assert not fabricated.passed and fabricated.status == "fail"
 
+
+def test_report_status_is_read_from_its_counterexamples():
+    failing = VerificationReport("npbig", {}, ["aa"], {})
+    assert failing.status == "fail" and not failing.passed
+    assert failing.to_json_dict()["status"] == "fail"
+    passing = VerificationReport("npbig", {}, [], {})
+    assert passing.status == "pass" and passing.passed
+    assert passing.to_json_dict()["status"] == "pass"
+
+
+def test_report_takes_no_status():
+    # the five-argument form could store a status its counterexamples deny
+    with pytest.raises(TypeError):
+        VerificationReport("npbig", {}, "pass", ["aa"], {})
+    with pytest.raises(TypeError):
+        VerificationReport("npbig", {}, status="pass", counterexamples=["aa"], stats={})
+    with pytest.raises(AttributeError):
+        VerificationReport("npbig", {}, ["aa"], {}).status = "pass"
 
 def test_report_json_normalizes_seconds():
     r = verify_npbig(2, 1)

@@ -26,6 +26,7 @@ from freegroups.words import (
     format_word,
     iter_reduced_words,
     letter_key,
+    letter_name,
     letter_order,
     parse_word,
     word_sort_key,
@@ -423,6 +424,11 @@ def test_format_refuses_input_that_is_no_word():
             format_word(bad)
 
 
+def test_word_sort_key_refuses_input_that_is_no_word():
+    for bad in ("ab", (1, 2), CyclicWord(parse_word("ab"))):
+        with pytest.raises(TypeError, match=f"w must be Word, got {type(bad).__name__}"):
+            word_sort_key(bad)
+
 def test_format_form_b_above_alphabet():
     w = Word([27, -1])
     assert format_word(w) == "27 -1"
@@ -548,3 +554,22 @@ def test_ball_excludes_empty_when_asked():
     words = list(iter_reduced_words(2, 2, include_empty=False))
     assert all(len(w) >= 1 for w in words)
     assert len(words) == count_reduced_words(2, 2) - 1
+
+
+@pytest.mark.parametrize("rank", [True, 2.0, "2"])
+def test_letter_order_refuses_a_rank_that_is_no_int(rank):
+    with pytest.raises(ValueError, match="rank must be an int"):
+        letter_order(rank)
+
+
+@pytest.mark.parametrize("rank", [0, -3])
+def test_letter_order_refuses_a_rank_below_1(rank):
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        letter_order(rank)
+
+
+def test_letter_name_names_letters_only():
+    assert [letter_name(x) for x in (1, -1, 27, -300)] == ["e1", "e1^-1", "e27", "e300^-1"]
+    for bad in (True, 0, 1.5, 2.0, "a", None):
+        with pytest.raises(ValueError, match=f"a letter is a nonzero int, got {bad!r}"):
+            letter_name(bad)
