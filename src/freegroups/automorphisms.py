@@ -82,9 +82,10 @@ class MultiplierAut(_FrozenRecord):
         object.__setattr__(self, "members", members)
 
     def is_valid(self) -> bool:
-        if not _is_letter(self.multiplier) or not all(map(_is_letter, self.members)):
+        a, members = self.multiplier, self.members
+        if not isinstance(members, frozenset) or not all(map(_is_letter, (a, *members))):
             return False
-        return self.multiplier in self.members and -self.multiplier not in self.members
+        return a in members and -a not in members
 
     def inverse(self) -> "MultiplierAut":
         _check_valid(self)
@@ -99,8 +100,15 @@ class MultiplierAut(_FrozenRecord):
         }
 
     def __str__(self) -> str:
-        mem = ", ".join(map(_name, sorted(self.members, key=letter_key)))
-        return f"({_name(self.multiplier)}; {{{mem}}})"
+        # the letters in letter order, then any other member as its repr
+        mem = self.members
+        if isinstance(mem, frozenset):
+            shown = list(map(letter_name, sorted(filter(_is_letter, mem), key=letter_key)))
+            shown += sorted(repr(x) for x in mem if not _is_letter(x))
+            mem = "{" + ", ".join(shown) + "}"
+        else:
+            mem = repr(mem)
+        return f"({_name(self.multiplier)}; {mem})"
 
     def __repr__(self) -> str:
         return f"MultiplierAut{self}"

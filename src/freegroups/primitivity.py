@@ -44,9 +44,13 @@ A cyclically reduced word of length >= 2 whose graph is connected with
 no cut vertex is not primitive (Whitehead's cut-vertex lemma: Whitehead,
 Ann. of Math. 37, 1936; Stallings, "Whitehead graphs on handlebodies",
 1999), so such a core is answered without any max-flow, and only the
-other cores descend.  The descent itself, _minimize_letters, and
-whitehead_minimize never use the lemma, so the sweeps that check it
-(prop24, npbig) test it against the descent alone.
+other cores descend.  The lemma is applied in the free factor F(S')
+spanned by the generators S' that occur in the core: the core is
+primitive in the rank n group exactly when it is primitive in F(S'), so
+a generator the core misses does not send it to the descent.  The
+descent itself, _minimize_letters, and whitehead_minimize never use the
+lemma, so the sweeps that check it (prop24, npbig) test it against the
+descent alone.
 """
 
 from __future__ import annotations
@@ -354,10 +358,12 @@ def is_primitive(w: Word, rank: int) -> bool:
 
     Conjugation invariant, since the test works on the cyclic core.  A
     core of length 0 (the empty word) is not primitive and one of length
-    1 is.  A longer core whose Whitehead graph is connected with no cut
-    vertex is not primitive by Whitehead's cut-vertex lemma, which needs
-    no max-flow; any other core is minimized, starting from the matrix
-    the lemma read, and is primitive when it bottoms out at length 1.
+    1 is.  A longer core lies in the free factor F(S') of the generators
+    S' it uses, and is primitive exactly when it is primitive there.  If
+    its Whitehead graph over S' is connected with no cut vertex, it is not
+    primitive by Whitehead's cut-vertex lemma at rank |S'|, which needs no
+    max-flow; any other core is minimized, starting from the matrix the
+    lemma read, and is primitive when it bottoms out at length 1.
     """
     letters = _letters_of(w, "w")
     check_rank(letters, rank)
@@ -365,7 +371,7 @@ def is_primitive(w: Word, rank: int) -> bool:
     if len(core) < 2:
         return len(core) == 1
     m = _cyclic_matrix(core)
-    if not _separability(m, rank)[0]:
+    if not _separability(m, len(m) // 2)[0]:
         return False
     return len(_minimize_letters(core, rank, verdict=True, matrix=m)[0]) == 1
 

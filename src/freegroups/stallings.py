@@ -3,20 +3,24 @@
 A finitely generated subgroup of a free group is represented by a finite
 labeled digraph with a basepoint: vertex 0, edges (u, label, v) with labels
 in 1..rank, each edge read forwards as the generator and backwards as its
-inverse.  The builder wedges one loop per generator word at the basepoint,
-then folds until no vertex has two equally labeled edges in the same
-direction.  The graph keeps the folded tables for its whole life: the
-counts are read off them and contains() walks them.  The vertices are
-renumbered by a breadth first scan only on the first read of edges, ==,
-hash, to_json_dict, to_dot or a pickle, and the numbering is kept beside
-the tables.
+inverse.  The builder folds one loop per generator word at the basepoint
+into the graph, one generator at a time, until no vertex has two equally
+labeled edges in the same direction.  The graph keeps the
+folded tables for its whole life: the counts are read off them and
+contains() walks them.  The vertices are renumbered by a breadth first
+scan only on the first read of edges, ==, hash, to_json_dict, to_dot or a
+pickle, and the numbering is kept beside the tables.
 
-Folding is one union-find pass (Touikan 2006; Kapovich and Myasnikov
-2002).  Each vertex keeps a table from signed label to neighbour; writing
-a label a table already holds queues the two neighbours for
-identification, and merging two classes folds the smaller table into the
-larger, queueing each clash in turn.  Nothing is rebuilt or sorted while
-the queue drains, so the cost is near linear in the number of letters.
+Folding streams the generators through one union-find (Kapovich and
+Myasnikov 2002; Touikan 2006).  Each vertex keeps a table from signed
+label to neighbour.  A generator's longest prefix is read along the
+folded tables from the basepoint, and its longest suffix backwards; only
+the letters in between are written as fresh vertices, or, when none are
+left, the two ends are queued for identification.  Merging two classes
+folds the smaller table into the larger, queueing each clash in turn,
+and the queue is drained before the next generator.  Memory follows the
+folded graph plus one generator, and nothing is rebuilt or sorted, so
+the cost is near linear in the number of letters.
 No trimming follows: every generator is a reduced word, so every edge
 lies on a reduced closed walk at the basepoint and no other vertex can be
 left with degree <= 1.  Folding is confluent, so the result is
@@ -36,6 +40,7 @@ fold letters without building a SubgroupGraph, both call it.
 
 from __future__ import annotations
 
+from operator import neg
 from random import Random
 
 from .words import Word, _check_int, _is_int, _is_letter, _letters_of, check_rank
@@ -50,9 +55,9 @@ class SubgroupGraph:
     The label tables and their find are the one adjacency: the counts
     come from them, contains walks them, and the canonical numbering is
     made from them on the first read of edges and kept beside them.
-    build_subgroup_graph hands over the tables and find of _fold.  The
-    public constructor takes edges in any numbering with the basepoint at
-    0, writes them into tables whose find is the identity, and checks
+    build_subgroup_graph hands over the tables and find of _fold_letters.
+    The public constructor takes edges in any numbering with the basepoint
+    at 0, writes them into tables whose find is the identity, and checks
     their shape: the graph must be folded, with no two edges of one label
     leaving, or entering, one vertex, and connected, with every vertex
     reachable from the basepoint.  The numbering it makes for that check
@@ -115,14 +120,9 @@ class SubgroupGraph:
         """Whether the reduced word w lies in the subgroup."""
         letters = _letters_of(w, "w")
         check_rank(letters, self.rank)
-        tables, find = self._tables, self._find
-        base = cur = find(0)
-        for x in letters:
-            nxt = tables[cur].get(x)
-            if nxt is None:
-                return False
-            cur = find(nxt)
-        return cur == base
+        base = self._find(0)
+        read, end = _walk(self._tables, self._find, base, letters)
+        return read == len(letters) and end == base
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubgroupGraph):
@@ -166,48 +166,6 @@ class SubgroupGraph:
         }
 
 
-def _fold(tables: list, pending: list, rng: Random | None):
-    """Fold the label tables until no identification is pending.
-
-    tables[v] maps each signed label at vertex v to a neighbour: +x for an
-    edge v -x-> w, -x for an edge w -x-> v.  pending holds pairs of
-    vertices that must become one.  Merging two classes moves the smaller
-    table into the larger, and every label both tables carry queues its
-    two neighbours.  Neighbours are stored as they were when written and
-    resolved through find when read.  rng, when given, picks the pending
-    pair to merge next.  Returns find; the class representatives are the
-    vertices whose table is not None.
-    """
-    parent = list(range(len(tables)))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    while pending:
-        if rng is not None:
-            i = rng.randrange(len(pending))
-            pending[i], pending[-1] = pending[-1], pending[i]
-        a, b = pending.pop()
-        a, b = find(a), find(b)
-        if a == b:
-            continue
-        big, small = tables[a], tables[b]
-        if len(big) < len(small):
-            a, b, big, small = b, a, small, big
-        parent[b] = a
-        tables[b] = None
-        for x, w in small.items():
-            held = big.setdefault(x, w)
-            if held != w:
-                pending.append((held, w))
-    return find
-
-
 def _same(v: int) -> int:
     """The find of tables that were never folded: each vertex is its class."""
     return v
@@ -236,35 +194,96 @@ def _renumber(tables: list, find) -> tuple:
     return tuple(edges)
 
 
+def _walk(tables: list, find, cur: int, letters) -> tuple:
+    """Read the iterable letters along folded label tables from the class
+    cur until a label is missing.  Returns how many letters were read and
+    the class reached.  contains() and both reads of a generator in
+    _fold_letters are this walk, from the basepoint's class find(0).
+    """
+    read = 0
+    for x in letters:
+        nxt = tables[cur].get(x)
+        if nxt is None:
+            break
+        cur = find(nxt)
+        read += 1
+    return read, cur
+
+
 def _fold_letters(words, rng: Random | None = None) -> tuple:
-    """Write the wedge of one loop per letter tuple in words at the
-    basepoint into label tables, fold it, and return (tables, find) as
-    _fold leaves them.  Each tuple must be a reduced word, and empty ones
-    are skipped; no letter is checked here.  _is_rose reads off the
-    result whether the words generate the whole group.
+    """Fold one loop per letter tuple in words at the basepoint into label
+    tables, one generator at a time, and return (tables, find).
+
+    tables[v] maps each signed label at vertex v to a neighbour: +x for an
+    edge v -x-> w, -x for an edge w -x-> v.  Each generator's longest
+    prefix is read along the folded tables from the basepoint, then its
+    longest suffix backwards, no further than where the prefix read ended.
+    Only the letters in between are written, as fresh vertices from the
+    prefix's end u to the suffix's start v; when none are left, u and v
+    are queued for identification.  The pending queue is drained before
+    the next generator: merging two classes moves the smaller table into
+    the larger, and every label both tables carry queues its two
+    neighbours.  Neighbours are stored as they were when written and
+    resolved through find when read.  rng, when given, picks the pending
+    pair to merge next.  The class representatives are the vertices whose
+    table is not None.  Each tuple must be a reduced word, and an empty one
+    reads to the basepoint and adds nothing; no letter is checked here.
+    _is_rose reads off the result whether the words generate the whole
+    group.
     """
     tables: list = [{}]
+    parent = [0]
+
+    def find(x: int) -> int:
+        while parent[x] != x:  # path halving
+            parent[x] = x = parent[parent[x]]
+        return x
+
     pending: list = []
     for letters in words:
-        if not letters:
-            continue
-        cur = 0
-        for x in letters[:-1]:
-            nxt = len(tables)
-            tables.append({-x: cur})  # a fresh vertex holds no label yet
-            held = tables[cur].setdefault(x, nxt)
-            if held != nxt:
-                pending.append((held, nxt))
-            cur = nxt
-        x = letters[-1]  # the last letter closes the loop at the basepoint
-        for v, y, w in ((cur, x, 0), (0, -x, cur)):
-            held = tables[v].setdefault(y, w)
-            if held != w:
-                pending.append((held, w))
+        i = j = 0
+        u = v = base = find(0)
+        table = tables[base]  # a walk reads nothing unless its first label is here
+        if letters and (letters[0] in table or -letters[-1] in table):
+            i, u = _walk(tables, find, base, letters)
+            j, v = _walk(tables, find, base, map(neg, reversed(letters[i:])))
+        middle = letters[i : len(letters) - j]
+        if middle:
+            for x in middle[:-1]:
+                nxt = len(tables)
+                tables[u][x] = nxt  # the walks stopped where these labels are free
+                tables.append({-x: u})
+                parent.append(nxt)
+                u = nxt
+            x = middle[-1]
+            tables[u][x] = v
+            # -x at v clashes only when the middle starts at v with x^-1
+            held = tables[v].setdefault(-x, u)
+            if held != u:
+                pending.append((held, u))
+        elif u != v:
+            pending.append((u, v))
+        while pending:
+            if rng is not None:
+                k = rng.randrange(len(pending))
+                pending[k], pending[-1] = pending[-1], pending[k]
+            a, b = pending.pop()
+            a, b = find(a), find(b)
+            if a == b:
+                continue
+            big, small = tables[a], tables[b]
+            if len(big) < len(small):
+                a, b, big, small = b, a, small, big
+            parent[b] = a
+            tables[b] = None
+            for x, w in small.items():
+                held = big.setdefault(x, w)
+                if held != w:
+                    pending.append((held, w))
     # No trim: a reduced word's loop folds onto a reduced closed walk at
     # the basepoint; every edge lies on such a walk, hence no vertex but
     # the basepoint is left with degree <= 1.
-    return tables, _fold(tables, pending, rng)
+    return tables, find
 
 
 def _is_rose(tables: list, find, rank: int) -> bool:
@@ -279,15 +298,15 @@ def _is_rose(tables: list, find, rank: int) -> bool:
 def build_subgroup_graph(
     generators, rank: int, rng: Random | None = None
 ) -> SubgroupGraph:
-    """Fold the wedge of generator loops into a subgroup graph.
+    """Fold the loops of the generators into a subgroup graph.
 
     The generators are checked here, then their letters go to
-    _fold_letters: the loops are written into per-vertex label tables,
-    and one union-find pass over a queue of pending identifications folds
-    them; see the module docstring for why no trim step is needed.  rng,
-    when given, picks which pending identification to merge next; the
-    result is the same graph regardless, which the test suite leans on.
-    Empty generators are skipped; no generators at all gives the one vertex
+    _fold_letters, which folds each loop into per-vertex label tables as
+    it arrives, writing only the letters the folded graph cannot read;
+    see the module docstring for why no trim step is needed.  rng, when
+    given, picks which pending identification to merge next; the result
+    is the same graph regardless, which the test suite leans on.  Empty
+    generators are skipped; no generators at all gives the one vertex
     graph of the trivial subgroup.
     """
     check_rank((), rank)

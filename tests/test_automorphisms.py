@@ -185,6 +185,33 @@ def test_inverse_refuses_an_invalid_descriptor():
         assert str(info.value) == f"invalid automorphism descriptor: {text}"
 
 
+def test_multiplier_with_members_that_are_no_letters_is_refused():
+    # a member that is no number used to make the descriptor unprintable,
+    # so apply_aut and inverse raised TypeError from letter_key
+    for aut, text in (
+        (MultiplierAut(1, frozenset({1, "a"})), "MultiplierAut(e1; {e1, 'a'})"),
+        (MultiplierAut(1, frozenset({1, None})), "MultiplierAut(e1; {e1, None})"),
+        (MultiplierAut(1, frozenset({-2, 1, "b", None})), "MultiplierAut(e1; {e1, e2^-1, 'b', None})"),
+    ):
+        assert repr(aut) == text
+        for call in (lambda: apply_aut(aut, Word([2])), aut.inverse):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"invalid automorphism descriptor: {text}"
+
+
+def test_multiplier_members_must_be_a_frozenset():
+    # a list of members used to pass is_valid, so apply_aut applied a
+    # descriptor that could not be hashed
+    for members, text in (([1, -2], "[1, -2]"), ({1, -2}, "{1, -2}"), ((1,), "(1,)")):
+        aut = MultiplierAut(1, members)
+        assert not aut.is_valid()
+        assert repr(aut) == f"MultiplierAut(e1; {text})"
+        for call in (lambda: apply_aut(aut, Word([2])), aut.inverse):
+            with pytest.raises(ValueError, match="^invalid automorphism descriptor: "):
+                call()
+
+
 def test_apply_refuses_input_that_is_no_descriptor():
     for bad in ("x", (1, 2), None, Word([1])):
         message = f"^aut must be PermutationAut or MultiplierAut, got {type(bad).__name__}$"

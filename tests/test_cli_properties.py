@@ -189,6 +189,44 @@ def test_primitive_power_word_at_the_parse_cap_answers_quickly():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "primitive\n", "")
 
 
+def test_conjugate_family_at_the_letter_cap_folds_in_small_memory():
+    # a^k b a^-k for k <= 999 is 1,000,000 letters together, the most the
+    # CLI admits; folding each generator as it arrives writes two vertices
+    # per generator, where writing the whole wedge first peaked at 314 MB.
+    # The child prints its own peak, VmHWM, in kB: RUSAGE_CHILDREN counts
+    # every child this process has run, and Linux carries the peak of the
+    # forking process into a child's RUSAGE_SELF across exec.
+    import os
+    import subprocess
+    import sys
+
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status to read the child's peak")
+    family = ["b"] + [f"a^{k}bA^{k}" for k in range(1, 1000)]
+    child = (
+        "import sys\n"
+        "from freegroups.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "fold", *family, "--rank", "2"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    *report, peak_kb = proc.stdout.splitlines()
+    assert report == [
+        "vertices: 1000",
+        "edges: 1999",
+        "subgroup rank: 1000",
+        "generates whole group: no",
+    ]
+    assert int(peak_kb) < 100 * 1024
+
+
 def test_primitive_square_blocks_at_rank_4000_answer_quickly():
     # e1^2 e2^2 ... e4000^2 has a Whitehead graph that is connected with
     # no cut vertex, so is_primitive answers by the cut-vertex lemma and

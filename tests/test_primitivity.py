@@ -196,6 +196,30 @@ def test_certificate_matches_the_descent_on_balls(rank, max_len, settled):
     assert lemma == settled
 
 
+# The lemma as is_primitive applies it: in the free factor of the
+# generators the core uses, at rank len(m) // 2, so a missing generator
+# no longer leaves the graph disconnected.  It settles more cores.
+@pytest.mark.parametrize("rank,max_len,settled", [(1, 8, 14), (2, 7, 3264), (3, 5, 672)])
+def test_free_factor_certificate_matches_the_descent_on_balls(monkeypatch, rank, max_len, settled):
+    descents = []
+
+    def counting_descent(*args, **kwargs):
+        descents.append(args[0])
+        return _minimize_letters(*args, **kwargs)
+
+    monkeypatch.setattr(primitivity, "_minimize_letters", counting_descent)
+    lemma = 0
+    for w in iter_reduced_words(rank, max_len, include_empty=True):
+        core = _cyclic_strip(w.letters)[0]
+        m = _cyclic_matrix(core)
+        if len(core) > 1 and not _separability(m, len(m) // 2)[0]:
+            assert not descent_verdict(w.letters, rank), format_word(w)
+            assert not is_primitive(w, rank), format_word(w)
+            assert descents == [], format_word(w)  # answered by the lemma alone
+            lemma += 1
+    assert lemma == settled
+
+
 @pytest.mark.parametrize(
     "text,rank,expected",
     [

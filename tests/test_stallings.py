@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from freegroups.stallings import SubgroupGraph, build_subgroup_graph
+from freegroups.stallings import SubgroupGraph, _fold_letters, build_subgroup_graph
 from freegroups.words import Word, iter_reduced_words, parse_word
 
 
@@ -165,6 +165,8 @@ def test_membership_needs_closed_walk_at_base():
 
 
 def test_fold_order_confluence():
+    # generator order and inversion change which merges the fold makes,
+    # the seeds then pick among them; neither changes the subgroup
     rng = random.Random(52)
     for trial in range(60):
         rank = rng.choice([2, 3])
@@ -174,9 +176,47 @@ def test_fold_order_confluence():
         ]
         reference = build_subgroup_graph(gens, rank)
         for seed in range(4):
-            shuffled = build_subgroup_graph(gens, rank, rng=random.Random(seed))
-            assert shuffled == reference, (gens, seed)
+            moved = [~g if rng.random() < 0.5 else g for g in gens]
+            rng.shuffle(moved)
+            shuffled = build_subgroup_graph(moved, rank, rng=random.Random(seed))
+            assert shuffled == reference, (gens, moved, seed)
             assert hash(shuffled) == hash(reference)
+
+
+class RecordingRandom(random.Random):
+    """A Random that records each pick among two or more pending merges."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.choices = []
+
+    def randrange(self, *args):
+        pick = super().randrange(*args)
+        if args[0] > 1:
+            self.choices.append((args[0], pick))
+        return pick
+
+
+def test_seeds_take_different_merge_sequences():
+    # rng picks the next pending merge, so different seeds must make
+    # different choices on a fold that has choices to make, yet give the
+    # same graph; a streamed fold has few, 64 of the 400 corpus sets
+    seeded = [RecordingRandom(seed) for seed in range(6)]
+    for rng in seeded:
+        build_subgroup_graph(words("aaa", "aa", "abAB", "aBab"), 2, rng=rng)
+        assert rng.choices
+    assert len({tuple(rng.choices) for rng in seeded}) > 1
+    with_choices = 0
+    for rank, gens, _, default, _ in fold_corpus():
+        histories = set()
+        for seed in range(6):
+            rng = RecordingRandom(seed)
+            assert build_subgroup_graph(gens, rank, rng=rng) == default
+            histories.add(tuple(rng.choices))
+        if histories != {()}:
+            with_choices += 1
+            assert len(histories) > 1, gens
+    assert with_choices > 0
 
 
 def test_generator_order_irrelevant():
@@ -436,3 +476,89 @@ def test_fold_at_scale():
     assert (g.num_vertices, g.num_edges, g.subgroup_rank()) == (k + 1, k + 1, 1)
     assert g.contains(Word([1] * k + [2, 2, 2] + [-1] * k))
     assert not g.contains(Word([1] * (k - 1) + [2] + [-1] * (k - 1)))
+
+
+# --- the streamed fold against the wedge it replaced ---
+
+
+def wedge_then_fold(gens, rank):
+    """Canonical edges of the fold as it was done before streaming: write
+    the wedge of every generator's loop at the basepoint, then merge
+    vertices until no two edges of one label leave or enter a vertex."""
+    tables, pending = [{}], []
+
+    def write(table, x, v):
+        if table.setdefault(x, v) != v:
+            pending.append((table[x], v))
+
+    for gen in filter(len, gens):
+        cur = 0
+        for i, x in enumerate(gen.letters):
+            nxt = 0  # the last letter closes the loop at the basepoint
+            if i < len(gen) - 1:
+                nxt = len(tables)
+                tables.append({})
+            write(tables[cur], x, nxt)
+            write(tables[nxt], -x, cur)
+            cur = nxt
+    parent = list(range(len(tables)))
+    find = lambda v: v if parent[v] == v else find(parent[v])  # noqa: E731
+    while pending:
+        a, b = map(find, pending.pop())
+        if a != b:
+            parent[b] = a
+            for x, v in tables[b].items():
+                write(tables[a], x, v)
+    roots = sorted({find(v) for v in range(len(tables))}, key=lambda v: v != find(0))
+    number = {v: i for i, v in enumerate(roots)}
+    edges = {(number[v], x, number[find(w)]) for v in roots for x, w in tables[v].items() if x > 0}
+    return SubgroupGraph(rank, len(roots), edges).edges
+
+
+def test_stream_matches_the_wedge_on_the_corpus():
+    for rank, gens, _, default, seeded in fold_corpus():
+        reference = wedge_then_fold(gens, rank)
+        assert default.edges == reference and seeded.edges == reference, gens
+
+
+def test_stream_matches_the_wedge_on_nielsen_pairs():
+    # every pair of the nielsen-xcheck claim: |a| + |b| <= 6 in rank 2
+    ball = list(iter_reduced_words(2, 6, include_empty=True))
+    pairs = 0
+    for a in ball:
+        for b in ball:
+            if len(a) + len(b) > 6:
+                break
+            pairs += 1
+            assert build_subgroup_graph([a, b], 2).edges == wedge_then_fold([a, b], 2), (a, b)
+    assert pairs == 11665
+
+
+def test_stream_matches_the_wedge_on_hypothesis_sets():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def generator_sets(draw):
+        rank = draw(st.integers(1, 3))
+        letter = st.integers(1, rank).flatmap(lambda i: st.sampled_from([i, -i]))
+        return rank, draw(st.lists(st.lists(letter, max_size=12).map(Word), max_size=5))
+
+    @hypothesis.settings(max_examples=300)
+    @hypothesis.given(generator_sets())
+    def check(case):
+        rank, gens = case
+        assert build_subgroup_graph(gens, rank).edges == wedge_then_fold(gens, rank)
+
+    check()
+
+
+def test_stream_writes_only_the_middles():
+    # the prefix of a^k b a^-k up to a^(k-1) and its suffix from a^-(k-1)
+    # are read along the folded graph, so each k writes two vertex tables
+    # where the wedge wrote 2k; the wedge of m = 1000 wrote 1,001,001
+    m = 1000
+    family = [(1,) * k + (2,) + (-1,) * k for k in range(m + 1)]
+    tables, find = _fold_letters(family)
+    assert len(tables) <= 2 * (m + 1)
+    assert len(tables) - tables.count(None) == m + 1
