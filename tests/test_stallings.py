@@ -492,15 +492,13 @@ def wedge_then_fold(gens, rank):
             pending.append((table[x], v))
 
     for gen in filter(len, gens):
-        cur = 0
-        for i, x in enumerate(gen.letters):
-            nxt = 0  # the last letter closes the loop at the basepoint
-            if i < len(gen) - 1:
-                nxt = len(tables)
-                tables.append({})
-            write(tables[cur], x, nxt)
-            write(tables[nxt], -x, cur)
-            cur = nxt
+        # the loop leaves the basepoint, passes len(gen) - 1 fresh vertices
+        # and closes at the basepoint
+        loop = [0, *range(len(tables), len(tables) + len(gen) - 1), 0]
+        tables += [{} for _ in loop[2:]]
+        for u, x, v in zip(loop, gen.letters, loop[1:]):
+            write(tables[u], x, v)
+            write(tables[v], -x, u)
     parent = list(range(len(tables)))
     find = lambda v: v if parent[v] == v else find(parent[v])  # noqa: E731
     while pending:
