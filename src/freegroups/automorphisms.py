@@ -49,7 +49,7 @@ class PermutationAut(_FrozenRecord):
         object.__setattr__(self, "images", images)
 
     def is_valid(self) -> bool:
-        if not self.images:
+        if not isinstance(self.images, tuple) or not self.images:
             return False
         if not all(map(_is_letter, self.images)):
             return False
@@ -68,7 +68,9 @@ class PermutationAut(_FrozenRecord):
         return {"kind": 1, "images": list(self.images)}
 
     def __repr__(self) -> str:
-        imgs = ", ".join(map(_name, self.images))
+        # images that are no tuple print whole, as their repr
+        imgs = self.images
+        imgs = ", ".join(map(_name, imgs)) if isinstance(imgs, tuple) else repr(imgs)
         return f"PermutationAut({imgs})"
 
 

@@ -19,14 +19,17 @@ generators that occur, which _cyclic_matrix builds for a cyclic core; the
 minimizer reads the same matrix.  The letters of a missing generator are
 isolated, so the graph is then disconnected.  Cut vertices come from the
 usual low-link DFS over the matrix rows, _separation, with an explicit
-stack so that no rank reaches the recursion limit; loops never affect
-separation and are skipped there.
+stack so that no rank reaches the recursion limit; a loop reads there as
+a back edge from a vertex to itself, which never lowers its low link, so
+loops never affect separation.
 _separability reads the verdict off any such matrix, so the sweeps in
 verify test a matrix they built without a WhiteheadGraph.  Only vertices
 and to_dot cost more with the rank.
 """
 
 from __future__ import annotations
+
+from operator import neg
 
 from .words import (
     Word,
@@ -138,8 +141,9 @@ def _check_vertex(v, rank: int) -> None:
 def _separation(m: list[dict[int, int]]) -> tuple[int, list[int]]:
     """(number of components, cut vertices least first) of the multigraph
     of an edge-count matrix such as edge_matrix gives, from one low-link
-    DFS per component over the matrix rows.  Loops never affect
-    separation and are skipped."""
+    DFS per component over the matrix rows.  A loop reads as a back edge
+    from a vertex to itself, which leaves its low link as it is, since
+    disc[v] >= low[v]; so loops never affect separation."""
     disc = [-1] * len(m)
     low = [0] * len(m)
     count = 0
@@ -158,10 +162,14 @@ def _separation(m: list[dict[int, int]]) -> tuple[int, list[int]]:
             for u in nbrs:
                 # a row holds each neighbour once, so skipping the parent
                 # skips exactly the tree edge, whatever its multiplicity
-                if u == v or u == parent:
+                if u == parent:
                     continue
-                if disc[u] >= 0:
-                    low[v] = min(low[v], disc[u])
+                # < in place of builtin min: this is the hottest loop of
+                # is_primitive, and a call per edge costs more than the test
+                d = disc[u]
+                if d >= 0:
+                    if d < low[v]:
+                        low[v] = d
                 else:
                     disc[u] = low[u] = count
                     count += 1
@@ -172,8 +180,10 @@ def _separation(m: list[dict[int, int]]) -> tuple[int, list[int]]:
                 if parent == root:
                     root_children += 1
                 elif parent >= 0:
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] >= disc[parent]:
+                    lv = low[v]
+                    if lv < low[parent]:
+                        low[parent] = lv
+                    if lv >= disc[parent]:
                         cuts.add(parent)
         if root_children >= 2:
             cuts.add(root)
@@ -197,8 +207,7 @@ def whitehead_edges(letters: tuple[int, ...]) -> list[tuple[int, int]]:
     """Edge list for a letter sequence read cyclically: (ui, -u_{i+1}) for
     each position, the last letter pairing with the first.  The pairs are
     unordered; WhiteheadGraph puts each in letter order."""
-    k = len(letters)
-    return [(letters[i], -letters[(i + 1) % k]) for i in range(k)]
+    return list(zip(letters, map(neg, letters[1:] + letters[:1])))
 
 
 def vertex_letters(gens) -> list[int]:
@@ -226,12 +235,17 @@ def edge_matrix(edges, gens) -> list[dict[int, int]]:
     ...     whitehead_edges((1, 2, 1, 2)), [1, 2])
     True
     """
-    vertex = {x: v for v, x in enumerate(vertex_letters(gens))}
+    vertex = {}
+    for j, g in enumerate(gens):
+        vertex[g] = 2 * j
+        vertex[-g] = 2 * j + 1
     m: list[dict[int, int]] = [{} for _ in vertex]
     for x, y in edges:
         u, v = vertex[x], vertex[y]
-        m[u][v] = m[u].get(v, 0) + 1
-        m[v][u] = m[v].get(u, 0) + 1
+        row = m[u]
+        row[v] = row.get(v, 0) + 1
+        row = m[v]
+        row[u] = row.get(u, 0) + 1
     return m
 
 

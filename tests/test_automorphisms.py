@@ -212,6 +212,30 @@ def test_multiplier_members_must_be_a_frozenset():
                 call()
 
 
+def test_permutation_images_must_be_a_tuple():
+    # a list of images used to pass is_valid, so apply_aut applied a
+    # descriptor that could not be hashed, and images that are no
+    # sequence made repr, apply_aut and inverse raise TypeError
+    for images, text in (
+        ([1, 2], "[1, 2]"),
+        ([-2, 1], "[-2, 1]"),
+        (5, "5"),
+        (None, "None"),
+        ("ab", "'ab'"),
+        (range(1, 3), "range(1, 3)"),
+    ):
+        aut = PermutationAut(images)
+        assert not aut.is_valid()
+        assert repr(aut) == f"PermutationAut({text})"
+        for call in (lambda: apply_aut(aut, Word([1])), aut.inverse):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"invalid automorphism descriptor: PermutationAut({text})"
+    # a tuple of images still prints letter by letter and applies
+    assert repr(PermutationAut((2, -1))) == "PermutationAut(e2, e1^-1)"
+    assert apply_aut(PermutationAut((2, -1)), Word([1, 2])) == Word([2, -1])
+
+
 def test_apply_refuses_input_that_is_no_descriptor():
     for bad in ("x", (1, 2), None, Word([1])):
         message = f"^aut must be PermutationAut or MultiplierAut, got {type(bad).__name__}$"

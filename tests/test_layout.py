@@ -209,6 +209,24 @@ def test_the_commutator_letters_live_in_words():
         assert "_commutator_letters" in used, name
         assert "reversed" not in used, name
 
+def test_the_whitehead_graph_has_one_builder():
+    # the cyclic matrix and the graph view both build through edge_matrix,
+    # so a faster kernel cannot come from a second builder beside it
+    routines = functions("whitehead_graph")
+    assert {"edge_matrix", "whitehead_edges"} <= names_used(routines["_cyclic_matrix"])
+    tree = ast.parse((Path(freegroups.__file__).parent / "whitehead_graph.py").read_text())
+    (graph,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "WhiteheadGraph"]
+    (method,) = [n for n in graph.body if getattr(n, "name", None) == "_set"]
+    assert "edge_matrix" in names_used(method)
+
+
+def test_the_kernel_loops_call_no_builtin_min():
+    # the low-link DFS and the capped max-flow compare with <, since a
+    # builtin call per edge costs more than the comparison on their paths
+    for module, name in (("whitehead_graph", "_separation"), ("primitivity", "_max_flow")):
+        assert "min" not in names_used(functions(module)[name]), name
+
+
 def test_names_used_sees_imports_and_attributes():
     tree = ast.parse("from .primitivity import is_basis_pair_f2 as f\nwhitehead_graph.WhiteheadGraph")
     assert {"is_basis_pair_f2", "f", "WhiteheadGraph"} <= names_used(tree)

@@ -1,5 +1,6 @@
-"""Hypothesis properties of folding, of the word text forms and of the
-Whitehead automorphisms.  The per-sweep symmetry classifier gives one
+"""Hypothesis properties of folding, of the word text forms, of the
+Whitehead graph kernel on arbitrary multigraphs and of the Whitehead
+automorphisms.  The per-sweep symmetry classifier gives one
 verdict to a core, its rotations, its inverse and its signed permutation
 images, so the invariances it relies on are checked here as properties,
 and so is the verdict-only descent on automorphic images.
@@ -22,6 +23,7 @@ from freegroups.primitivity import _minimize_letters, is_basis_pair_f2, is_primi
 from freegroups.stallings import SubgroupGraph, build_subgroup_graph
 from freegroups.whitehead_graph import build_whitehead_graph
 from freegroups.words import Word, are_conjugate, commutator, format_word, parse_word
+from test_whitehead_graph import check_matrix, check_separation
 
 
 @st.composite
@@ -172,6 +174,31 @@ def test_basis_pair_test_is_commutator_conjugacy(auts, w, data):
         assert is_basis_pair_f2(a, b)
     c = commutator(a, b)
     assert is_basis_pair_f2(a, b) == any(are_conjugate(c, k) for k in F2_COMMUTATORS)
+
+
+@st.composite
+def multigraphs(draw):
+    # loops and repeated edges drawn on purpose: a uniform pair is rarely one
+    gens = sorted(draw(st.sets(st.integers(1, 8), min_size=1, max_size=5)))
+    letter = st.sampled_from([x for g in gens for x in (g, -g)])
+    edges = draw(st.lists(st.one_of(letter.map(lambda x: (x, x)), st.tuples(letter, letter))))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=4))
+    return edges, gens
+
+
+# the seeded and fixed multigraphs of test_whitehead_graph.py run the same
+# checks on the loop and root cases these derandomized draws may miss
+
+
+@given(multigraphs())
+def test_edge_matrix_matches_counter_on_drawn_multigraphs(case):
+    check_matrix(*case)
+
+
+@given(multigraphs())
+def test_separation_matches_networkx_on_drawn_multigraphs(case):
+    check_separation(*case, pytest.importorskip("networkx"))
 
 
 @st.composite

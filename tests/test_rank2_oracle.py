@@ -7,7 +7,9 @@ letters a and q letters b (Osborne and Zieschang, Invent. Math. 64, 1981;
 Cohen, Metzler and Zimmermann, Math. Ann. 257, 1981).  A core with one
 generator is then primitive only at length 1.  The oracle reads no
 Whitehead graph, no max-flow and no orbit, so it checks the minimizer,
-the sweeps' symmetry classifier and their class counts from outside.
+the sweeps' symmetry classifier and their class counts from outside.  It
+takes time linear in the length, so it also settles Christoffel words of
+10^4 and 10^5 letters, their images and their one-letter perturbations.
 """
 
 from math import gcd
@@ -41,9 +43,9 @@ def closed_form_primitive(letters):
     q = len(core) - p
     if gcd(p, q) != 1:
         return False
-    word = christoffel(p, q)
-    unsigned = tuple(abs(x) for x in core)
-    return any(unsigned == word[k:] + word[:k] for k in range(len(word)))
+    # the rotations of a word are its factors of the same length in the
+    # doubled word, and a bytes search finds one in linear time
+    return bytes(map(abs, core)) in bytes(christoffel(p, q) * 2)
 
 
 def totient(n):
@@ -89,3 +91,41 @@ def test_core_classes_count_4_L_phi_L_primitives_per_length():
             counts[len(core)] = counts.get(len(core), 0) + words[0]
     assert counts == {L: 4 * L * totient(L) for L in range(1, 12)}
     assert counts[1] == 4
+
+
+def long_cases(p, q, shifts):
+    """(letters, expected) for the Christoffel word with p letters a and q
+    letters b, p > q.  Primitive by construction: the word, its image under
+    a -> a^-1 and its inverse, each rotated left by each of its shifts in
+    turn.  Not primitive: two one-letter sign flips of the word, of a b and
+    of an a between two b's, which cancel nothing and leave both signs of
+    one generator in the word."""
+    word = christoffel(p, q)
+    image = tuple(-x if x == 1 else x for x in word)
+    inverse = tuple(-x for x in reversed(word))
+    primitive = [w[k:] + w[:k] for w, ks in zip((word, image, inverse), shifts) for k in ks]
+    n = len(word)
+    mid = word.index(2, n // 2)
+    lone_a = next(i for i in range(mid, n - 1) if word[i - 1 : i + 2] == (2, 1, 2))
+    flipped = [word[:i] + (-word[i],) + word[i + 1 :] for i in (mid, lone_a)]
+    return [(w, True) for w in primitive] + [(w, False) for w in flipped]
+
+
+@pytest.mark.parametrize(
+    "p,q,shifts",
+    [
+        # 10,001 letters: three rotations of each of the three words
+        (6001, 4000, [(0, 1, 3333, 9994)] * 3),
+        # 100,000 letters, each call about ten times the cost: one word each
+        (61803, 38197, [(0,), (33333,), (99993,)]),
+    ],
+)
+def test_long_christoffel_words(p, q, shifts):
+    # the expected verdicts come from the closed form, in linear time
+    cases = long_cases(p, q, shifts)
+    for letters, expected in cases:
+        w = Word(letters)
+        assert len(w) == p + q  # the flips reduce to no shorter word
+        assert closed_form_primitive(w.letters) == expected
+        assert is_primitive(w, 2) == expected
+    assert [expected for _, expected in cases].count(False) == 2

@@ -2,18 +2,25 @@
 
 The cut vertex finder is pinned against a brute-force oracle: delete each
 vertex in turn and recount connected components among the remaining ones.
+The kernel itself, edge_matrix and _separation, is also checked on
+arbitrary multigraphs, with loops, parallel edges and generators that
+carry no edge, against a Counter of edge pairs and against networkx.
 """
 
 import hashlib
 import random
 import re
+import sys
+from collections import Counter
 
 import pytest
 
 from freegroups.cli import main
 from freegroups.whitehead_graph import (
     WhiteheadGraph,
+    _separation,
     build_whitehead_graph,
+    edge_matrix,
     whitehead_edges,
 )
 from freegroups.words import Word, format_word, iter_reduced_words, letter_key, parse_word
@@ -305,6 +312,126 @@ def test_separation_matches_networkx():
         expected = sorted(nx.articulation_points(simple), key=letter_key)
         assert g.articulation_points() == expected
         assert verdict.cut_vertex == (expected[0] if expected else None)
+
+
+# ------------------------------------------------ the kernel on multigraphs
+
+def counter_matrix(edges, gens):
+    """The edge-count matrix written from a Counter of ordered pairs,
+    independent of edge_matrix: vertex 2j is gens[j] and vertex 2j + 1 its
+    inverse, and each edge counts once in each direction, so a loop counts
+    twice on its diagonal entry."""
+    names = [x for g in gens for x in (g, -g)]
+    pairs = Counter()
+    for x, y in edges:
+        pairs[x, y] += 1
+        pairs[y, x] += 1
+    return [{names.index(y): c for (x, y), c in pairs.items() if x == name} for name in names]
+
+
+def random_multigraph(rng):
+    """(edges, gens): a few generators out of 1..8, some of whose letters,
+    or both letters, carry no edge, joined by edges with loops and
+    parallel edges in both orientations."""
+    gens = sorted(rng.sample(range(1, 9), rng.randint(1, 5)))
+    letters = [x for g in gens for x in (g, -g)]
+    used = [x for x in letters if rng.random() < 0.6] or letters[:1]
+    edges = []
+    for _ in range(rng.randint(0, 16)):
+        x = rng.choice(used)
+        draw = rng.random()
+        y = x if draw < 0.2 else rng.choice(used)
+        edges.append((x, y))
+        if draw > 0.8:
+            edges.append(rng.choice([(x, y), (y, x)]))
+    return edges, gens
+
+
+def check_matrix(edges, gens):
+    m = edge_matrix(edges, gens)
+    assert m == counter_matrix(edges, gens)
+    names = [x for g in gens for x in (g, -g)]
+    for v, row in enumerate(m):
+        assert all(m[u][v] == c for u, c in row.items())
+        degree = sum((x == names[v]) + (y == names[v]) for x, y in edges)
+        assert sum(row.values()) == degree
+    return m
+
+
+def check_separation(edges, gens, nx):
+    names = [x for g in gens for x in (g, -g)]
+    graph = nx.MultiGraph()
+    graph.add_nodes_from(range(len(names)))
+    graph.add_edges_from((names.index(x), names.index(y)) for x, y in edges)
+    # fed the reference matrix, so a fault in edge_matrix cannot hide one here
+    components, cuts = _separation(counter_matrix(edges, gens))
+    assert components == nx.number_connected_components(graph)
+    assert cuts == sorted(nx.articulation_points(graph))
+
+
+# fixed multigraphs whose cut vertices hinge on a loop or on the DFS root
+FIXED_MULTIGRAPHS = [
+    ([], [1]),
+    ([(1, 1)], [1]),
+    ([(1, 1), (1, -1), (-1, 1)], [1, 2]),
+    # a path through a looped middle vertex: the loop is no way round it
+    ([(1, 2), (2, 2), (2, -1)], [1, 2]),
+    # the root e1 has two children, e2 and e2^-1, and a loop listed first
+    ([(1, 1), (1, 2), (1, -2)], [1, 2]),
+    ([(1, 1), (1, 2), (1, -2), (2, -2)], [1, 2]),
+    # two triangles sharing the looped vertex e1
+    ([(1, 1), (1, 2), (2, -2), (-2, 1), (1, 3), (3, -3), (-3, 1)], [1, 2, 3]),
+    # a path with a doubled edge and loops: neither is a way round e2 or e2^-1
+    ([(-1, -1), (-1, 2), (2, -1), (2, -2), (-2, -2), (-2, 3)], [1, 2, 3]),
+    # a generator that carries no edge, between two that do
+    ([(1, -1), (-1, 3), (3, 3)], [1, 2, 3]),
+]
+
+
+def test_edge_matrix_matches_counter_on_multigraphs():
+    rng = random.Random(28)
+    seen = Counter()
+    cases = FIXED_MULTIGRAPHS + [random_multigraph(rng) for _ in range(600)]
+    for edges, gens in cases:
+        check_matrix(edges, gens)
+        seen["loop"] += any(x == y for x, y in edges)
+        seen["parallel"] += len(set(map(frozenset, edges))) < len(edges)
+        seen["missing"] += len({abs(x) for e in edges for x in e}) < len(gens)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_separation_matches_networkx_on_multigraphs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(29)
+    cases = FIXED_MULTIGRAPHS + [random_multigraph(rng) for _ in range(600)]
+    for edges, gens in cases:
+        check_separation(edges, gens, nx)
+
+
+def test_fixed_multigraph_cut_vertices():
+    # the expected answers written out, for when networkx is missing
+    expected = [
+        (2, []), (2, []), (3, []), (2, [2]), (2, [0]), (2, []), (2, [0]), (3, [2, 3]),
+        (4, [1]),
+    ]
+    assert [_separation(edge_matrix(e, g)) for e, g in FIXED_MULTIGRAPHS] == expected
+
+
+def test_separation_stays_iterative_on_long_paths_and_cycles():
+    # 4,000 vertices, each DFS level one stack entry: far past the
+    # recursion limit for a recursive DFS
+    n = 4000
+    assert n > sys.getrecursionlimit()
+    names = [x for g in range(1, n // 2 + 1) for x in (g, -g)]
+    path = list(zip(names, names[1:]))
+    gens = range(1, n // 2 + 1)
+    assert _separation(edge_matrix(path, gens)) == (1, list(range(1, n - 1)))
+    cycle = path + [(names[-1], names[0])]
+    assert _separation(edge_matrix(cycle, gens)) == (1, [])
+    # the Whitehead graph of e1 e1 e2 e2 ... e2000 e2000 is one cycle
+    # through all 4,000 letters
+    g = build_whitehead_graph(Word([g for g in gens for _ in "xx"]), n // 2)
+    assert g.is_connected() and g.articulation_points() == []
 
 
 def test_connected_matches_component_count():
