@@ -355,7 +355,6 @@ def check_matrix(edges, gens):
         assert all(m[u][v] == c for u, c in row.items())
         degree = sum((x == names[v]) + (y == names[v]) for x, y in edges)
         assert sum(row.values()) == degree
-    return m
 
 
 def check_separation(edges, gens, nx):
