@@ -13,7 +13,8 @@ exactly when x^-1 is in A.  This is an automorphism; its inverse is again of the
 same shape, with multiplier a^-1 and member set (A minus a) plus a^-1.
 
 Descriptors are plain data and may be built in invalid states; validity is
-checked by their is_valid method and enforced on application.  The kind 2
+checked by their is_valid method and enforced on application, inversion
+and serialization.  The kind 2
 enumeration for rank n has exactly 2n * 4^(n-1) entries: multipliers in
 letter order, and for each of the other n-1 generator pairs {x, x^-1} the
 four membership patterns (neither, x, x^-1, both) in counter order with the
@@ -65,6 +66,7 @@ class PermutationAut(_FrozenRecord):
         return PermutationAut(tuple(inv))
 
     def to_json_dict(self) -> dict:
+        _check_valid(self)
         return {"kind": 1, "images": list(self.images)}
 
     def __repr__(self) -> str:
@@ -95,6 +97,7 @@ class MultiplierAut(_FrozenRecord):
         return MultiplierAut(-a, (self.members - {a}) | {-a})
 
     def to_json_dict(self) -> dict:
+        _check_valid(self)
         return {
             "kind": 2,
             "multiplier": self.multiplier,

@@ -2,27 +2,27 @@
 
 Each checker covers an exhaustive ball of reduced words (never a
 sample) and returns a VerificationReport.  Most test their claim on every
-word; prop24 and primitive_density visit each rotation class of cyclic
-cores once and count its words exactly, since their claims depend on the
-core's class alone.  They and nielsen-xcheck settle primitivity once per
-symmetry class (rotation, inversion and signed generator permutations),
-through a classifier that lives for one sweep.  It names a core's class
-by its gap key, the least rotation of its signed gaps back to the
-previous occurrence of each generator, and files each verdict under two
-keys, the core's and its inverse's, at every rank.  The sweeps build
-their words from letters they already know are valid, so they call the
-letter-level routines beneath the public entries
+word; prop24 and primitive_density depend on a word's cyclic core only up
+to symmetry (rotation, inversion and signed generator permutations), so
+they walk one core per symmetry class and count its words exactly.  The
+walk tells classes apart by the gap key, the least rotation of a core's
+signed gaps back to the previous occurrence of each generator.
+nielsen-xcheck reads primitivity word by word, and settles it once per
+symmetry class through a classifier that lives for one sweep and files
+each verdict under two gap keys, the core's and its inverse's.  The
+sweeps build their words from letters they already know are valid, so
+they call the letter-level routines beneath the public entries
 (_minimize_letters, _basis_pair_letters, _fold_letters, _separability),
 and no word is checked again per pair or per translate.  nielsen-xcheck
 and the stacked families claimI and lemma38 ask whether letter tuples
 generate the whole group one way: _fold_letters, read by _is_rose.
 is_primitive answers non-separable cores by Whitehead's cut-vertex
-lemma, so prop24 and npbig, which check that lemma, and the classifier
-and fincov, call the descent alone and never is_primitive.  Claim
-identifiers are short opaque tags; the claim table at the end of this
-module fixes them, with each claim's standard grid and caps.  A report
-stores no status: it reads "pass" exactly when the counterexample list is
-empty, and "fail" otherwise.
+lemma, so prop24 and npbig, which check that lemma, and the class walk,
+the classifier and fincov, call the descent alone and never
+is_primitive.  Claim identifiers are short opaque tags; the claim table
+at the end of this module fixes them, with each claim's standard grid and
+caps.  A report stores no status: it reads "pass" exactly when the
+counterexample list is empty, and "fail" otherwise.
 
 Reports serialize to stable JSON: keys sorted, two space indent, trailing
 newline, and the measured wall time zeroed out, so a rerun with identical
@@ -35,7 +35,8 @@ from __future__ import annotations
 import json
 import time
 from functools import cache
-from itertools import product
+from itertools import permutations, product
+from math import perm
 from typing import Callable, Iterator, NamedTuple
 
 from .primitivity import _basis_pair_letters, _minimize_letters, is_primitive, whitehead_minimize
@@ -52,6 +53,7 @@ from .words import (
     format_word,
     iter_reduced_words,
     letter_order,
+    word_sort_key,
 )
 
 
@@ -328,24 +330,24 @@ def verify_prop24(rank: int, max_len: int) -> VerificationReport:
 
 
 def _prop24(rank: int, max_len: int):
-    counterexamples = []
+    """The prop24 sweep, one descent and one separability test per
+    symmetry class of cyclic cores.  A class that fails lists all its
+    necklaces, by length and then in letter order, as a sweep of the ball
+    first meets them."""
+    failing = []
     checked = 0
     primitives = 0
     distinct = 0
-    separable_by_class: dict = {}
-    for core, words, cls, primitive in _core_classes(rank, max_len):
-        count = sum(words)
+    for core, necklaces, words, primitive in _core_classes(rank, max_len):
+        count = necklaces * sum(words)
         checked += count
         if not primitive:
             continue
         primitives += count
-        distinct += 1
-        separable = separable_by_class.get(cls)
-        if separable is None:
-            separable = _separability(_cyclic_matrix(core), rank)[0]
-            separable_by_class[cls] = separable
-        if not separable:
-            counterexamples.append(format_word(Word._wrap(core)))
+        distinct += necklaces
+        if not _separability(_cyclic_matrix(core), rank)[0]:
+            failing += _class_necklaces(core, rank)
+    counterexamples = [format_word(w) for w in sorted(map(Word._wrap, failing), key=word_sort_key)]
     return counterexamples, {
         "words_checked": checked,
         "primitives_found": primitives,
@@ -354,8 +356,10 @@ def _prop24(rank: int, max_len: int):
 
 
 def _necklaces(rank: int, length: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The least rotation and the period of each rotation class of
-    cyclically reduced words of the given length >= 1, in letter order.
+    """The least rotation and the period of each relabel-normal rotation
+    class of cyclically reduced words of the given length >= 1, in letter
+    order.  A necklace is relabel-normal when its generators first occur
+    in the order e1, e2, ..., each first as its positive letter.
 
     The Fredricksen-Kessler-Maiorana walk (Ruskey, Savage and Wang,
     J. Algorithms 13, 1992), depth first over the reduced prenecklaces: one
@@ -363,27 +367,33 @@ def _necklaces(rank: int, length: int) -> Iterator[tuple[tuple[int, ...], int]]:
     letter x >= a[t-p] that does not cancel a[t-1], keeping p when
     x == a[t-p] and taking p = t + 1 otherwise.  At full length it is the
     least of its p distinct rotations exactly when p divides the length,
-    and is kept when its last letter does not cancel its first.  Lazy, with
-    O(length) memory.
+    and is kept when its last letter does not cancel its first.  The walk
+    prunes every prenecklace that is not normal: one using m generators
+    grows only by a letter of e1, ..., e_m or by e_{m+1}.  The least
+    necklace of each symmetry class (rotation, signed generator
+    permutation, inversion) is normal: relabel it by first occurrence and
+    the first letter that changes gets smaller.  Lazy, with O(length)
+    memory.
 
-    >>> list(_necklaces(2, 2))  # doctest: +NORMALIZE_WHITESPACE
-    [((1, 1), 1), ((1, 2), 2), ((1, -2), 2), ((-1, -1), 1), ((-1, 2), 2),
-     ((-1, -2), 2), ((2, 2), 1), ((-2, -2), 1)]
+    >>> list(_necklaces(2, 3))
+    [((1, 1, 1), 1), ((1, 1, 2), 3), ((1, 2, 2), 3)]
     """
     alphabet = letter_order(rank)
     size = len(alphabet)
-    # (prenecklace, its Lyndon prefix length, its untried next letters);
-    # letters are positions in the alphabet, and x ^ 1 is the inverse of x
-    stack = [((), 0, iter(range(size)))]
+    # (prenecklace, its Lyndon prefix length, the generators it uses, its
+    # untried next letters); letters are positions in the alphabet, x ^ 1
+    # is the inverse of x, and 2 * used is the next generator's positive
+    stack = [((), 0, 0, iter(range(1)))]
     while stack:
-        a, p, untried = stack[-1]
+        a, p, used, untried = stack[-1]
         for x in untried:
             if a and x == a[-1] ^ 1:
                 continue
             b = a + (x,)
             q = p if a and x == a[-p] else len(b)
             if len(b) < length:
-                stack.append((b, q, iter(range(b[-q], size))))
+                u = used + (x == 2 * used)
+                stack.append((b, q, u, iter(range(b[-q], min(size, 2 * u + 1)))))
                 break
             if length % q == 0 and x ^ 1 != b[0]:
                 yield tuple(alphabet[y] for y in b), q
@@ -447,40 +457,70 @@ def _symmetry_classifier(rank: int) -> Callable[[tuple[int, ...]], tuple[tuple, 
     return classify
 
 
-def _core_classes(rank: int, max_len: int) -> Iterator[tuple[tuple, list[int], tuple, bool]]:
-    """(least rotation, words, class, primitive) for each rotation class
-    of nonempty cyclically reduced cores of length <= max_len, in the
-    order a sweep of the ball first meets them: by length, then in letter
-    order.  class and primitive are the symmetry class of the core and its
-    verdict, from one _symmetry_classifier per call: the class is named
-    by its first core met, found by the gap key of each later one, and
-    the verdict is the descent's on that first core.
+def _core_classes(rank: int, max_len: int) -> Iterator[tuple[tuple, int, list[int], bool]]:
+    """(core, necklaces, words, primitive) for each symmetry class of
+    nonempty cyclically reduced cores of length <= max_len, under
+    rotation, signed generator permutations and inversion, in the order a
+    sweep of the ball first meets them: by length, then in letter order.
+    core is the least necklace of the class, necklaces counts the rotation
+    classes it holds, and primitive is the descent's verdict on core.
+
+    The walk meets the normal _necklaces only, and yields the first of
+    each class, found by the gap keys of the core and of its inverse.  The
+    gap key K fixes a core up to rotation and signed permutation, so a
+    class using m of the n generators holds per(K) 2^m n!/(n-m)! cyclically
+    reduced words, twice that when its inverse's key differs, and all of
+    them share the core's period p.
 
     A reduced word is u c u^-1 for one cyclically reduced c, and such a
     product is reduced exactly when the last letter of u is neither c[0]^-1
-    nor c[-1].  So each of the p rotations of a class of period p is the
-    core of (2n-2)(2n-1)^(k-1) words with |u| = k >= 1, and words[k] counts
-    the words of the ball with |u| = k and core in the class.  Raises
-    RuntimeError at the end unless the classes hold every nonempty word of
-    the ball.
+    nor c[-1].  So each of the p rotations of a necklace is the core of
+    (2n-2)(2n-1)^(k-1) words with |u| = k >= 1, and words[k] counts the
+    words of the ball with |u| = k and core in one necklace of the class.
+    Raises RuntimeError at the end unless the classes hold every nonempty
+    word of the ball, which checks the class sizes too.
     """
     n2 = 2 * rank
     conjugators = [1] + [(n2 - 2) * (n2 - 1) ** (k - 1) for k in range(1, max_len // 2 + 1)]
-    classify = _symmetry_classifier(rank)
     counted = 0
     for length in range(1, max_len + 1):
         per_core = conjugators[: (max_len - length) // 2 + 1]
+        met = set()
         for core, period in _necklaces(rank, length):
+            key = _gap_key(core)
+            if key in met:
+                continue
+            inverse_key = _gap_key(tuple(-x for x in reversed(core)))
+            met.update((key, inverse_key))
+            key_period = next(d for d in range(1, length + 1) if key[d:] + key[:d] == key)
+            # a normal core uses e1, ..., e_m, each of them as a positive letter
+            used = max(core)
+            size = key_period * 2**used * perm(rank, used) * (1 if inverse_key == key else 2)
+            necklaces = size // period
             words = [period * c for c in per_core]
-            counted += sum(words)
-            cls, primitive = classify(core)
-            yield core, words, cls, primitive
+            counted += necklaces * sum(words)
+            primitive = len(_minimize_letters(core, rank, verdict=True)[0]) == 1
+            yield core, necklaces, words, primitive
     expected = count_reduced_words(rank, max_len) - 1
     if counted != expected:
         raise RuntimeError(
-            f"the rotation classes of the rank {rank} ball up to length {max_len}"
+            f"the symmetry classes of the rank {rank} ball up to length {max_len}"
             f" hold {counted} words, not {expected}"
         )
+
+
+def _class_necklaces(core: tuple[int, ...], rank: int) -> set[tuple[int, ...]]:
+    """The necklaces of the symmetry class of a normal core: the least
+    rotations of the signed relabelings of the core and of its inverse."""
+    used = max(core)
+    found = set()
+    for word in (core, tuple(-x for x in reversed(core))):
+        for gens in permutations(range(1, rank + 1), used):
+            for signs in product((1, -1), repeat=used):
+                image = (0,) + tuple(s * g for s, g in zip(signs, gens))
+                relabeled = tuple(image[x] if x > 0 else -image[-x] for x in word)
+                found.add(canonical_rotation(relabeled))
+    return found
 
 
 def verify_nielsen_xcheck(max_pair_len: int) -> VerificationReport:
@@ -642,12 +682,12 @@ def primitive_density(rank: int, max_len: int):
     _check_caps(_DENSITY_CAPS, {"rank": rank, "max_len": max_len})
     totals = [0] * (max_len + 1)
     prims = [0] * (max_len + 1)
-    for core, words, _, primitive in _core_classes(rank, max_len):
+    for core, necklaces, words, primitive in _core_classes(rank, max_len):
         for k, count in enumerate(words):
             length = len(core) + 2 * k
-            totals[length] += count
+            totals[length] += necklaces * count
             if primitive:
-                prims[length] += count
+                prims[length] += necklaces * count
     return [
         (length, prims[length], totals[length], prims[length] / totals[length])
         for length in range(1, max_len + 1)

@@ -340,3 +340,22 @@ def test_json_shape():
     assert t.to_json_dict() == {"kind": 2, "multiplier": 1, "members": [1, -2]}
     s = PermutationAut((-2, 1))
     assert s.to_json_dict() == {"kind": 1, "images": [-2, 1]}
+
+
+@pytest.mark.parametrize(
+    "aut,text",
+    [
+        (PermutationAut(5), "PermutationAut(5)"),
+        (PermutationAut((0, 1)), "PermutationAut(0, e1)"),
+        (PermutationAut((1, 3)), "PermutationAut(e1, e3)"),
+        (PermutationAut([1, 2]), "PermutationAut([1, 2])"),
+        (MultiplierAut(1, 5), "MultiplierAut(e1; 5)"),
+        (MultiplierAut(1, frozenset({-1})), "MultiplierAut(e1; {e1^-1})"),
+        (MultiplierAut(1, {1}), "MultiplierAut(e1; {1})"),
+    ],
+)
+def test_to_json_dict_refuses_an_invalid_descriptor(aut, text):
+    # as apply_aut and inverse do, with no TypeError and no invalid images
+    with pytest.raises(ValueError) as info:
+        aut.to_json_dict()
+    assert str(info.value) == f"invalid automorphism descriptor: {text}"

@@ -95,13 +95,33 @@ def functions(module):
     return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
+def test_the_class_walk_files_no_verdicts():
+    # prop24 and density meet each symmetry class once, through the class
+    # walk, which tells classes apart by gap keys; only nielsen-xcheck,
+    # which reads verdicts word by word, keeps the classifier
+    sweeps = functions("verify")
+    for name in ("_prop24", "primitive_density", "_core_classes"):
+        assert "_symmetry_classifier" not in names_used(sweeps[name]), name
+    for name in ("_prop24", "primitive_density"):
+        assert "_core_classes" in names_used(sweeps[name]), name
+    assert "_gap_key" in names_used(sweeps["_core_classes"])
+    assert "_symmetry_classifier" in names_used(sweeps["_nielsen_xcheck"])
+
+
 def test_the_lemma_checkers_never_call_is_primitive():
     # is_primitive answers cores without a cut vertex by Whitehead's
     # cut-vertex lemma; prop24 and npbig check that lemma, so they and the
-    # verdicts they read (the classifier, fincov's ladder) call the descent
-    # alone, or the checks would be circular
+    # verdicts they read (the class walk, the classifier, fincov's ladder)
+    # call the descent alone, or the checks would be circular
     sweeps = functions("verify")
-    for name in ("_prop24", "_npbig", "_symmetry_classifier", "_not_primitive", "_fincov"):
+    for name in (
+        "_prop24",
+        "_core_classes",
+        "_npbig",
+        "_symmetry_classifier",
+        "_not_primitive",
+        "_fincov",
+    ):
         assert "is_primitive" not in names_used(sweeps[name]), name
     assert "_minimize_letters" in names_used(sweeps["_npbig"])
 

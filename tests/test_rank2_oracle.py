@@ -83,12 +83,13 @@ def test_rank2_ball_agrees_with_the_minimizer_and_the_classifier():
 
 def test_core_classes_count_4_L_phi_L_primitives_per_length():
     # the cyclically reduced primitives of length L are the rotations of
-    # the primitive classes: words[0] counts them, one per rotation
+    # the necklaces of the primitive classes: words[0] counts them, one per
+    # rotation of one necklace
     counts = {}
-    for core, words, _, primitive in _core_classes(2, 11):
+    for core, necklaces, words, primitive in _core_classes(2, 11):
         assert primitive == closed_form_primitive(core), Word(core)
         if primitive:
-            counts[len(core)] = counts.get(len(core), 0) + words[0]
+            counts[len(core)] = counts.get(len(core), 0) + necklaces * words[0]
     assert counts == {L: 4 * L * totient(L) for L in range(1, 12)}
     assert counts[1] == 4
 

@@ -3,6 +3,7 @@ claim checker at small parameters, report serialization, and the grid."""
 
 import hashlib
 import importlib
+import inspect
 import json
 import pkgutil
 import re
@@ -50,6 +51,7 @@ from freegroups.words import (
     canonical_rotation,
     iter_reduced_words,
     parse_word,
+    word_sort_key,
 )
 
 
@@ -419,11 +421,111 @@ def reference_necklaces(rank, max_len):
     return classes
 
 
+def relabel_normal(core):
+    # generators first occur in the order e1, e2, ..., each first as its
+    # positive letter
+    seen = set()
+    for x in core:
+        if abs(x) not in seen:
+            if x != len(seen) + 1:
+                return False
+            seen.add(x)
+    return True
+
+
 @pytest.mark.parametrize("rank,max_len", [(1, 8), (2, 8), (3, 7), (4, 4)])
 def test_necklaces_match_brute_force(rank, max_len):
     for length, classes in reference_necklaces(rank, max_len).items():
-        expected = [(key, len(rotations)) for key, rotations in classes.items()]
+        expected = [
+            (key, len(rotations)) for key, rotations in classes.items() if relabel_normal(key)
+        ]
         assert list(verify._necklaces(rank, length)) == expected, length
+
+
+def brute_force_classes(rank, max_len):
+    """The symmetry classes of the ball's necklaces, as sets of necklaces:
+    the components under the moves that swap e_i and e_i+1, invert e1 or
+    invert the whole core, each followed by the least rotation.  These
+    moves generate the signed permutations and inversion."""
+    necklaces = {key for classes in reference_necklaces(rank, max_len).values() for key in classes}
+
+    def moves(core):
+        for i in range(1, rank):
+            swap = {i: i + 1, i + 1: i, -i: -i - 1, -i - 1: -i}
+            yield tuple(swap.get(x, x) for x in core)
+        yield tuple(-x if abs(x) == 1 else x for x in core)
+        yield tuple(-x for x in reversed(core))
+
+    classes = []
+    while necklaces:
+        block = {next(iter(necklaces))}
+        todo = list(block)
+        while todo:
+            for image in map(canonical_rotation, moves(todo.pop())):
+                if image not in block:
+                    block.add(image)
+                    todo.append(image)
+        assert block <= necklaces
+        necklaces -= block
+        classes.append(block)
+    return classes
+
+
+def letter_sort_key(core):
+    return word_sort_key(Word(core))
+
+
+CLASS_BALLS = [(1, 8), (2, 8), (3, 6), (4, 5), (5, 4)]
+
+
+@pytest.mark.parametrize("rank,max_len", CLASS_BALLS)
+def test_core_classes_meet_each_brute_force_class_once(rank, max_len):
+    # one yield per class, in the order the ball first meets the classes:
+    # its least necklace and how many necklaces it holds
+    classes = brute_force_classes(rank, max_len)
+    expected = sorted(
+        ((min(block, key=letter_sort_key), len(block)) for block in classes),
+        key=lambda entry: letter_sort_key(entry[0]),
+    )
+    got = [(core, necklaces) for core, necklaces, _, _ in verify._core_classes(rank, max_len)]
+    assert got == expected
+
+
+@pytest.mark.parametrize("rank,max_len", [(1, 8), (2, 7), (3, 5), (4, 4)])
+def test_class_necklaces_list_the_brute_force_class(rank, max_len):
+    # the list a failing prop24 class gives
+    for block in brute_force_classes(rank, max_len):
+        assert verify._class_necklaces(min(block, key=letter_sort_key), rank) == block
+
+
+def planted(old, new):
+    """_core_classes with one fault planted in its source."""
+    source = inspect.getsource(verify._core_classes)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(verify))
+    exec(source.replace(old, new), namespace)
+    return namespace["_core_classes"]
+
+
+@pytest.mark.parametrize(
+    "old,new,counted",
+    [
+        # no inverse doubling
+        ("(1 if inverse_key == key else 2)", "1", 4446),
+        # off by one in the relabelings
+        ("perm(rank, used)", "perm(rank, used - 1)", 3818),
+        ("perm(rank, used)", "perm(rank + 1, used)", 15272),
+        # the core's period in place of the gap key's
+        ("key_period * 2**used", "period * 2**used", 5670),
+        # the inverse's key never met, so its class comes again
+        ("met.update((key, inverse_key))", "met.add(key)", 5166),
+    ],
+)
+def test_the_count_check_refuses_a_wrong_class_size(old, new, counted):
+    # the first class whose inverse has another gap key has length 5
+    assert sum(n * sum(w) for _, n, w, _ in verify._core_classes(3, 5)) == 4686
+    with pytest.raises(RuntimeError, match=f"hold {counted} words, not 4686"):
+        list(planted(old, new)(3, 5))
 
 
 def test_sweeps_refuse_a_lost_class(monkeypatch):
@@ -432,14 +534,23 @@ def test_sweeps_refuse_a_lost_class(monkeypatch):
     def dropping(rank, length):
         found = necklaces(rank, length)
         if length == 3:
-            next(found)  # e1^3, the core of one word of length <= 4
+            next(found)  # e1^3, whose class is the cores of 4 words of length <= 4
         return found
 
     monkeypatch.setattr(verify, "_necklaces", dropping)
-    with pytest.raises(RuntimeError, match="hold 159 words, not 160"):
+    with pytest.raises(RuntimeError, match="hold 156 words, not 160"):
         verify_prop24(2, 4)
     with pytest.raises(RuntimeError, match="not 160"):
         primitive_density(2, 4)
+
+
+def test_prop24_lists_every_necklace_of_a_failing_class():
+    # e1 is primitive, yet its graph at rank 1 is connected with no cut
+    # vertex: the class of e1 fails and lists both of its necklaces
+    assert verify._prop24(1, 4) == (
+        ["a", "A"],
+        {"words_checked": 8, "primitives_found": 2, "distinct_cores": 2},
+    )
 
 
 def test_nielsen_xcheck_small():
