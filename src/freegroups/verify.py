@@ -7,22 +7,22 @@ to symmetry (rotation, inversion and signed generator permutations), so
 they walk one core per symmetry class and count its words exactly.  The
 walk tells classes apart by the gap key, the least rotation of a core's
 signed gaps back to the previous occurrence of each generator.
-nielsen-xcheck reads primitivity word by word, and settles it once per
-symmetry class through a classifier that lives for one sweep and files
-each verdict under two gap keys, the core's and its inverse's.  The
-sweeps build their words from letters they already know are valid, so
-they call the letter-level routines beneath the public entries
-(_minimize_letters, _basis_pair_letters, _fold_letters, _separability),
-and no word is checked again per pair or per translate.  nielsen-xcheck
-and the stacked families claimI and lemma38 ask whether letter tuples
-generate the whole group one way: _fold_letters, read by _is_rose.
-is_primitive answers non-separable cores by Whitehead's cut-vertex
-lemma, so prop24 and npbig, which check that lemma, and the class walk,
-the classifier and fincov, call the descent alone and never
-is_primitive.  Claim identifiers are short opaque tags; the claim table
-at the end of this module fixes them, with each claim's standard grid and
-caps.  A report stores no status: it reads "pass" exactly when the
-counterexample list is empty, and "fail" otherwise.
+nielsen-xcheck reads primitivity word by word, from a table of the
+walk's class verdicts keyed by the gap keys of each class's core and of
+its inverse, so every class verdict comes from the one walk.  The sweeps
+build their words from letters they already know are valid, so they call
+the letter-level routines beneath the public entries (_minimize_letters,
+_basis_pair_letters, _fold_letters, _separability), and no word is
+checked again per pair or per translate.  nielsen-xcheck and the stacked
+families claimI and lemma38 ask whether letter tuples generate the whole
+group one way: _fold_letters, read by _is_rose.  is_primitive answers
+non-separable cores by Whitehead's cut-vertex lemma, so prop24 and
+npbig, which check that lemma, and the class walk and fincov, call the
+descent alone and never is_primitive.  Claim identifiers are short
+opaque tags; the claim table at the end of this module fixes them, with
+each claim's standard grid and caps.  A report stores no status: it
+reads "pass" exactly when the counterexample list is empty, and "fail"
+otherwise.
 
 Reports serialize to stable JSON: keys sorted, two space indent, trailing
 newline, and the measured wall time zeroed out, so a rerun with identical
@@ -41,7 +41,13 @@ from typing import Callable, Iterator, NamedTuple
 
 from .primitivity import _basis_pair_letters, _minimize_letters, is_primitive, whitehead_minimize
 from .stallings import _fold_letters, _is_rose, build_subgroup_graph
-from .whitehead_graph import _cyclic_matrix, _separability, edge_matrix, whitehead_edges
+from .whitehead_graph import (
+    _cyclic_matrix,
+    _separability,
+    edge_matrix,
+    vertex_letters,
+    whitehead_edges,
+)
 from .words import (
     Word,
     _Record,
@@ -52,7 +58,6 @@ from .words import (
     count_reduced_words,
     format_word,
     iter_reduced_words,
-    letter_order,
     word_sort_key,
 )
 
@@ -378,7 +383,7 @@ def _necklaces(rank: int, length: int) -> Iterator[tuple[tuple[int, ...], int]]:
     >>> list(_necklaces(2, 3))
     [((1, 1, 1), 1), ((1, 1, 2), 3), ((1, 2, 2), 3)]
     """
-    alphabet = letter_order(rank)
+    alphabet = vertex_letters(range(1, rank + 1))
     size = len(alphabet)
     # (prenecklace, its Lyndon prefix length, the generators it uses, its
     # untried next letters); letters are positions in the alphabet, x ^ 1
@@ -429,34 +434,6 @@ def _gap_key(core: tuple[int, ...]) -> tuple[int, ...]:
     return canonical_rotation(tuple(gaps))
 
 
-def _symmetry_classifier(rank: int) -> Callable[[tuple[int, ...]], tuple[tuple, bool]]:
-    """A function classify(core) -> (class, primitive) for the cyclically
-    reduced cores of one sweep, one verdict per symmetry class.  Any
-    rotation of a core may be passed.
-
-    Primitivity is invariant under rotation, inversion and signed
-    generator permutations, and so is the separability of the Whitehead
-    graph: a permutation relabels its vertices and inversion keeps its
-    edges.  A core's _gap_key names its class under rotations and signed
-    permutations, and the key of its inverse adds inversion.  A class is
-    named by the first of its cores classified.  A miss minimizes that
-    core once and files the class under its key and its inverse's key,
-    two keys per class at every rank.  The filed classes live in the
-    closure: make one classifier per sweep.
-    """
-    filed: dict[tuple[int, ...], tuple[tuple, bool]] = {}
-
-    def classify(core: tuple[int, ...]) -> tuple[tuple, bool]:
-        key = _gap_key(core)
-        entry = filed.get(key)
-        if entry is None:
-            entry = core, len(_minimize_letters(core, rank, verdict=True)[0]) == 1
-            filed[key] = filed[_gap_key(tuple(-x for x in reversed(core)))] = entry
-        return entry
-
-    return classify
-
-
 def _core_classes(rank: int, max_len: int) -> Iterator[tuple[tuple, int, list[int], bool]]:
     """(core, necklaces, words, primitive) for each symmetry class of
     nonempty cyclically reduced cores of length <= max_len, under
@@ -477,9 +454,11 @@ def _core_classes(rank: int, max_len: int) -> Iterator[tuple[tuple, int, list[in
     nor c[-1].  So each of the p rotations of a necklace is the core of
     (2n-2)(2n-1)^(k-1) words with |u| = k >= 1, and words[k] counts the
     words of the ball with |u| = k and core in one necklace of the class.
-    Raises RuntimeError at the end unless the classes hold every nonempty
-    word of the ball, which checks the class sizes too.
+    Checks rank and max_len once, before the walk, and raises
+    RuntimeError at the end unless the classes hold every nonempty word of
+    the ball, which checks the class sizes too.
     """
+    expected = count_reduced_words(rank, max_len) - 1
     n2 = 2 * rank
     conjugators = [1] + [(n2 - 2) * (n2 - 1) ** (k - 1) for k in range(1, max_len // 2 + 1)]
     counted = 0
@@ -501,7 +480,6 @@ def _core_classes(rank: int, max_len: int) -> Iterator[tuple[tuple, int, list[in
             counted += necklaces * sum(words)
             primitive = len(_minimize_letters(core, rank, verdict=True)[0]) == 1
             yield core, necklaces, words, primitive
-    expected = count_reduced_words(rank, max_len) - 1
     if counted != expected:
         raise RuntimeError(
             f"the symmetry classes of the rank {rank} ball up to length {max_len}"
@@ -532,12 +510,19 @@ def verify_nielsen_xcheck(max_pair_len: int) -> VerificationReport:
 
 
 def _nielsen_xcheck(max_pair_len: int):
-    """The nielsen-xcheck sweep, on the letters of the rank 2 ball."""
+    """The nielsen-xcheck sweep, on the letters of the rank 2 ball.  A
+    word's primitivity is its class's verdict from the class walk, looked
+    up by the gap key of its cyclic core: each class is filed under the
+    keys of its core and of its inverse, which name it up to rotation,
+    signed permutation and inversion."""
     ball = [w.letters for w in iter_reduced_words(2, max_pair_len, include_empty=True)]
-    classify = _symmetry_classifier(2)
+    verdicts = {(): False}  # the empty core is not primitive
+    for core, _, _, verdict in _core_classes(2, max_pair_len):
+        inverse = tuple(-x for x in reversed(core))
+        verdicts[_gap_key(core)] = verdicts[_gap_key(inverse)] = verdict
 
     def primitive(letters: tuple[int, ...]) -> bool:
-        return classify(_cyclic_strip(letters)[0])[1]
+        return verdicts[_gap_key(_cyclic_strip(letters)[0])]
 
     counterexamples = []
     checked = 0

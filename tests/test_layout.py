@@ -96,29 +96,35 @@ def functions(module):
 
 
 def test_the_class_walk_files_no_verdicts():
-    # prop24 and density meet each symmetry class once, through the class
-    # walk, which tells classes apart by gap keys; only nielsen-xcheck,
-    # which reads verdicts word by word, keeps the classifier
+    # every class verdict comes by one route: prop24, density and
+    # nielsen-xcheck read the class walk, which tells classes apart by gap
+    # keys, and verify defines no classifier beside it
+    tree = ast.parse((Path(freegroups.__file__).parent / "verify.py").read_text())
+    defined = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert "_core_classes" in defined
+    assert [name for name in defined if "classif" in name] == []
+    assert "_symmetry_classifier" not in names_used(tree)
     sweeps = functions("verify")
-    for name in ("_prop24", "primitive_density", "_core_classes"):
-        assert "_symmetry_classifier" not in names_used(sweeps[name]), name
-    for name in ("_prop24", "primitive_density"):
-        assert "_core_classes" in names_used(sweeps[name]), name
+    for name in ("_prop24", "primitive_density", "_nielsen_xcheck"):
+        used = names_used(sweeps[name])
+        assert "_core_classes" in used, name
+        # the walk's verdicts are the only ones these sweeps read
+        assert used & {"_minimize_letters", "is_primitive"} == set(), name
     assert "_gap_key" in names_used(sweeps["_core_classes"])
-    assert "_symmetry_classifier" in names_used(sweeps["_nielsen_xcheck"])
 
 
 def test_the_lemma_checkers_never_call_is_primitive():
     # is_primitive answers cores without a cut vertex by Whitehead's
     # cut-vertex lemma; prop24 and npbig check that lemma, so they and the
-    # verdicts they read (the class walk, the classifier, fincov's ladder)
+    # verdicts they read (the class walk, nielsen-xcheck's table of its
+    # verdicts, fincov's ladder)
     # call the descent alone, or the checks would be circular
     sweeps = functions("verify")
     for name in (
         "_prop24",
         "_core_classes",
         "_npbig",
-        "_symmetry_classifier",
+        "_nielsen_xcheck",
         "_not_primitive",
         "_fincov",
     ):

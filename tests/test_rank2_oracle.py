@@ -7,17 +7,19 @@ letters a and q letters b (Osborne and Zieschang, Invent. Math. 64, 1981;
 Cohen, Metzler and Zimmermann, Math. Ann. 257, 1981).  A core with one
 generator is then primitive only at length 1.  The oracle reads no
 Whitehead graph, no max-flow and no orbit, so it checks the minimizer,
-the sweeps' symmetry classifier and their class counts from outside.  It
-takes time linear in the length, so it also settles Christoffel words of
-10^4 and 10^5 letters, their images and their one-letter perturbations.
+the sweeps' class walk, its class counts and the density rows from
+outside.  It takes time linear in the length, so it also settles
+Christoffel words of 10^4 and 10^5 letters, their images and their
+one-letter perturbations, and b a^k through the power steps of the
+verdict descent.
 """
 
 from math import gcd
 
 import pytest
 
-from freegroups.primitivity import is_primitive
-from freegroups.verify import _core_classes, _symmetry_classifier
+from freegroups.primitivity import _minimize_letters, is_primitive
+from freegroups.verify import _core_classes, _gap_key, primitive_density, verify_prop24
 from freegroups.words import Word, iter_reduced_words
 
 
@@ -66,15 +68,20 @@ def test_closed_form_pinned():
     assert [closed_form_primitive(w) for w in not_primitive] == [False] * len(not_primitive)
 
 
-def test_rank2_ball_agrees_with_the_minimizer_and_the_classifier():
-    # every nonempty word of the rank 2 ball up to length 9, 39,364 of them
-    classify = _symmetry_classifier(2)
+def test_rank2_ball_agrees_with_the_minimizer_and_the_class_walk():
+    # every nonempty word of the rank 2 ball up to length 9, 39,364 of them;
+    # the class verdicts are filed as nielsen-xcheck files them, under the
+    # gap keys of each class's core and of its inverse
+    verdicts = {}
+    for core, _, _, primitive in _core_classes(2, 9):
+        inverse = tuple(-x for x in reversed(core))
+        verdicts[_gap_key(core)] = verdicts[_gap_key(inverse)] = primitive
     disagree = []
     checked = 0
     for w in iter_reduced_words(2, 9, include_empty=False):
         checked += 1
         expected = closed_form_primitive(w.letters)
-        by_class = classify(strip(w.letters))[1]
+        by_class = verdicts[_gap_key(strip(w.letters))]
         if is_primitive(w, 2) != expected or by_class != expected:
             disagree.append(w)
     assert checked == 39_364
@@ -130,3 +137,39 @@ def test_long_christoffel_words(p, q, shifts):
         assert closed_form_primitive(w.letters) == expected
         assert is_primitive(w, 2) == expected
     assert [expected for _, expected in cases].count(False) == 2
+
+
+def closed_form_count(length):
+    """The primitives of length L in the rank 2 ball: a reduced word is
+    u c u^-1 with c cyclically reduced, c primitive exactly when the word
+    is, and p(l) = 4 l phi(l) cores of length l >= 2, 4 of length 1, each
+    the core of c_k words with |u| = k, where c_0 = 1 and c_k = 2 3^(k-1)."""
+    p = {1: 4, **{l: 4 * l * totient(l) for l in range(2, length + 1)}}
+    c = [1] + [2 * 3 ** (k - 1) for k in range(1, length // 2 + 1)]
+    return sum(p[l] * c[(length - l) // 2] for l in range(length % 2 or 2, length + 1, 2))
+
+
+def test_density_rows_in_closed_form():
+    counts = [closed_form_count(L) for L in range(1, 9)]
+    assert counts == [4, 8, 32, 48, 152, 160, 544, 560]
+    rows = primitive_density(2, 8)
+    assert [(L, prims, total) for L, prims, total, _ in rows] == [
+        (L, counts[L - 1], 4 * 3 ** (L - 1)) for L in range(1, 9)
+    ]
+    assert verify_prop24(2, 8).stats["primitives_found"] == sum(counts) == 1508
+
+
+def test_b_a_k_through_the_power_steps():
+    # the verdict descent applies a move met on two steps in a row as a
+    # power phi^m, m doubled while the length drops, so b a^k falls to a
+    # letter in O(log k) steps; b^2 a^k is not primitive for k >= 2.  k
+    # grows, so a descent that takes a step per letter fails at k = 10,
+    # before its quadratic cost at k = 10^5 shows.
+    for k in (1, 2, 3, 10, 100, 1000, 10_000, 100_000):
+        for b, expected in ((2,), True), ((2, 2), k < 2):
+            letters = b + (1,) * k
+            assert closed_form_primitive(letters) == expected, (b, k)
+            core, steps = _minimize_letters(letters, 2, verdict=True)
+            assert len(steps) <= 2 * k.bit_length(), (b, k)
+            assert (len(core) == 1) == expected, (b, k)
+            assert is_primitive(Word(letters), 2) == expected, (b, k)

@@ -1,20 +1,26 @@
 """The symmetry-class verdicts of the exhaustive sweeps.
 
-verify._symmetry_classifier settles each class of cyclic cores once.  It
-names a core's class by its gap key, the least rotation of its signed
-gaps back to the previous occurrence of each generator, and files a
-verdict under the key of the core and of its inverse.  It must give the
-plain minimizer's verdict word for word, join exactly the cores that
-the kind 1 filing joins, leave every report unchanged, live for one
-sweep only, and stay out of the routes that check the minimizer
-independently.  The references below are the sweeps as they read before
-the class verdicts, calling is_primitive once per word, and the kind 1
-filing, which files each class under the least rotation of every signed
-permutation image of the core and of its inverse.
+Every class verdict comes by one route: the class walk,
+verify._core_classes, which settles each class of cyclic cores once, on
+its least necklace.  prop24 and density read the walk directly;
+nielsen-xcheck reads it word by word, through a table that files each
+class's verdict under its gap-key pair: the gap keys of its core and of
+its inverse, where a gap key is the least rotation of a core's signed
+gaps back to the previous occurrence of each generator.  A word's
+verdict is then the one filed under the gap key of its cyclic core.  It
+must be the plain minimizer's verdict word for word, the gap-key pairs
+must join exactly the cores that the kind 1 filing joins, every report
+must stay unchanged, each sweep must walk afresh, and the routes that
+check the minimizer independently must never walk.  The references below
+are the sweeps as they read before the class verdicts, calling
+is_primitive once per word, and the kind 1 filing, which files each
+class under the least rotation of every signed permutation image of the
+core and of its inverse.
 """
 
 import hashlib
 import json
+from functools import cache
 
 import pytest
 
@@ -105,7 +111,7 @@ def reference_nielsen_xcheck(max_pair_len):
     )
 
 
-def reference_classifier(rank):
+def reference_filing(rank):
     """The kind 1 filing: a miss files the class under the least rotation
     of each signed permutation image of the core and of its inverse,
     2 * n! * 2^n keys."""
@@ -137,27 +143,45 @@ def all_necklaces(rank, max_len):
     )
 
 
-def filed_keys(classify):
-    """The dict of filed keys in a classifier's closure."""
-    (filed,) = [c.cell_contents for c in classify.__closure__ if isinstance(c.cell_contents, dict)]
-    return filed
+def inverse(core):
+    return tuple(-x for x in reversed(core))
+
+
+def gap_key_pair(core):
+    """The gap keys under which nielsen-xcheck files the class of core."""
+    return {verify._gap_key(core), verify._gap_key(inverse(core))}
+
+
+@cache
+def class_verdicts(rank, max_len):
+    """The table nielsen-xcheck builds from the class walk, with each
+    class's core beside its verdict: gap key -> (core, primitive)."""
+    table = {}
+    for core, _, _, primitive in verify._core_classes(rank, max_len):
+        for key in gap_key_pair(core):
+            assert key not in table, core  # no two classes share a key
+            table[key] = core, primitive
+    return table
+
+
+def class_of(rank, core, max_len=None):
+    """The walk's (core, primitive) for the class of a cyclic core."""
+    table = class_verdicts(rank, len(core) if max_len is None else max_len)
+    return table[verify._gap_key(core)]
 
 
 @pytest.mark.parametrize("rank,max_len", [(1, 6), (2, 8), (3, 6), (4, 5), (5, 4)])
 def test_gap_key_classes_match_the_kind1_filing(rank, max_len):
-    # both name a class by its first core met, so equal answers on the same
-    # walk mean the same partition and the same verdicts
-    classify, reference = verify._symmetry_classifier(rank), reference_classifier(rank)
+    # the kind 1 filing names a class by its first necklace met, which is
+    # the walk's core, the least necklace of the class, so equal answers on
+    # every necklace mean the same partition and the same verdicts
+    reference = reference_filing(rank)
     classes = set()
     for core in all_necklaces(rank, max_len):
-        got = classify(core)
+        got = class_of(rank, core, max_len)
         assert got == reference(core), core
         classes.add(got[0])
-    assert len(filed_keys(classify)) <= 2 * len(classes)
-
-
-def inverse(core):
-    return tuple(-x for x in reversed(core))
+    assert len(class_verdicts(rank, max_len)) <= 2 * len(classes)
 
 
 def symmetric_images(core, shift, images):
@@ -168,16 +192,11 @@ def symmetric_images(core, shift, images):
 
 
 def assert_one_class(rank, core, shift, images):
-    # whichever comes first names the class, and one minimization and two
-    # keys serve them all
-    cores = (core,) + symmetric_images(core, shift, images)
-    for first in cores:
-        classify = verify._symmetry_classifier(rank)
-        entry = classify(first)
-        for other in cores:
-            assert classify(other) is entry, other
-        assert len(filed_keys(classify)) <= 2
-    return entry
+    # the images share the gap-key pair of the core, so the two keys filed
+    # for the class serve them all
+    pair = gap_key_pair(core)
+    for other in symmetric_images(core, shift, images):
+        assert gap_key_pair(other) == pair, other
 
 
 # (rank, core, a rotation shift, the images of the generators); the
@@ -192,8 +211,12 @@ SYMMETRIC_CASES = [
 @pytest.mark.parametrize("rank,core,shift,images", SYMMETRIC_CASES)
 def test_a_core_its_rotation_inverse_and_relabeling_share_one_class(rank, core, shift, images):
     assert verify._gap_key(inverse(core)) != verify._gap_key(core)
-    _, primitive = assert_one_class(rank, core, shift, images)
-    assert primitive == is_primitive(Word(core), rank)
+    assert_one_class(rank, core, shift, images)
+    # the walk files one verdict for the class, whichever image looks it up
+    entry = class_of(rank, core)
+    for other in symmetric_images(core, shift, images):
+        assert class_of(rank, other) == entry, other
+    assert entry[1] == is_primitive(Word(core), rank)
 
 
 def test_symmetric_images_share_one_class():
@@ -227,17 +250,28 @@ def test_symmetric_images_share_one_class():
 
 
 def test_signs_and_lengths_split_classes():
-    classify = verify._symmetry_classifier(2)
     # (ab)^2 and a b a^-1 b differ only in the sign of one gap
     cores = [(1, 2, 1, 2), (1, 2, -1, 2), (1, 2), (1, 1, 2), (1, 2, 2)]
-    classes = [classify(core)[0] for core in cores]
-    assert classes == [(1, 2, 1, 2), (1, 2, -1, 2), (1, 2), (1, 1, 2), (1, 1, 2)]
+    pairs = [gap_key_pair(core) for core in cores]
+    assert all(pairs[i].isdisjoint(pairs[j]) for i in range(4) for j in range(i))
+    assert pairs[4] == pairs[3]
+    # the walk names each class by its least necklace
+    classes = [class_of(2, core, 4)[0] for core in cores]
+    assert classes == [(1, 2, 1, 2), (1, 2, 1, -2), (1, 2), (1, 1, 2), (1, 1, 2)]
 
 
-def test_the_empty_core_is_not_primitive():
-    classify = verify._symmetry_classifier(2)
-    assert classify(()) == ((), False)
-    assert classify((1,)) == ((1,), True) == classify((-2,))
+def test_the_empty_core_is_not_primitive(monkeypatch):
+    assert class_of(2, (1,)) == ((1,), True) == class_of(2, (-2,))
+    # the walk holds nonempty cores only; when both routes call every pair
+    # a basis, nielsen-xcheck reads the empty core as not primitive
+    monkeypatch.setattr(verify, "_basis_pair_letters", lambda a, b: True)
+    monkeypatch.setattr(verify, "_is_rose", lambda *args: True)
+    report = verify_nielsen_xcheck(2)
+    assert report.stats["words_checked"] == report.stats["basis_pairs"] == 49
+    # all 33 pairs with an empty coordinate fail, and the 16 pairs of
+    # letters pass
+    assert len(report.counterexamples) == 33
+    assert all("(, " in pair or ", )" in pair for pair in report.counterexamples)
 
 
 # the reports of the kind 1 filing past the caps, where it filed
@@ -257,12 +291,11 @@ def test_prop24_reports_beyond_the_caps_are_pinned(rank, max_len, digest):
 
 @pytest.mark.parametrize("rank,max_len", [(2, 7), (3, 5)])
 def test_cached_verdicts_match_minimizer(rank, max_len):
-    classify = verify._symmetry_classifier(rank)
     classes = set()
     words = 0
     for w in iter_reduced_words(rank, max_len, include_empty=False):
         words += 1
-        cls, primitive = classify(canonical_rotation(_cyclic_strip(w.letters)[0]))
+        cls, primitive = class_of(rank, _cyclic_strip(w.letters)[0], max_len)
         classes.add(cls)
         assert primitive == is_primitive(w, rank), w
     # far fewer classes than words, or the classes save nothing
@@ -271,23 +304,29 @@ def test_cached_verdicts_match_minimizer(rank, max_len):
 
 @pytest.mark.parametrize("rank,max_len", [(2, 6), (3, 4)])
 def test_classes_do_not_depend_on_walk_order(rank, max_len):
-    # a class must be filed the same whichever of its cores comes first
+    # a class must be filed the same whichever of its cores comes first:
+    # filing the gap-key pair of the first core met, in either order, must
+    # give the partition and the verdicts of the walk
     necklaces = all_necklaces(rank, max_len)
 
     def partition(order):
-        classify = verify._symmetry_classifier(rank)
+        filed = {}
         blocks = {}
-        verdicts = {}
         for core in order:
-            cls, verdicts[core] = classify(core)
-            blocks.setdefault(cls, set()).add(core)
-        return {frozenset(block) for block in blocks.values()}, verdicts
+            if verify._gap_key(core) not in filed:
+                filed.update(dict.fromkeys(gap_key_pair(core), core))
+            blocks.setdefault(filed[verify._gap_key(core)], set()).add(core)
+        return {frozenset(block) for block in blocks.values()}
 
     forward = partition(necklaces)
     assert forward == partition(necklaces[::-1])
+    walked = {}
+    for core in necklaces:
+        walked.setdefault(class_of(rank, core, max_len), set()).add(core)
+    assert forward == {frozenset(block) for block in walked.values()}
     # classes join necklaces, and both verdicts occur
-    assert len(forward[0]) < len(necklaces)
-    assert set(forward[1].values()) == {True, False}
+    assert len(forward) < len(necklaces)
+    assert {primitive for _, primitive in walked} == {True, False}
 
 
 @pytest.mark.parametrize("rank,max_len", [(2, 7), (3, 5), (2, 8), (3, 6)])
@@ -344,12 +383,14 @@ def test_independent_routes_never_touch_the_cache(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("verdict cache used")
 
-    monkeypatch.setattr(verify, "_symmetry_classifier", refuse)
+    monkeypatch.setattr(verify, "_core_classes", refuse)
     oracle = primitive_orbit_oracle(2, 6)
     assert Word([1, 2, 1, 2, 1]) in oracle and Word([1, 1]) not in oracle
     assert is_primitive(Word([1, 2, 1, 2, 1]), 2)
     assert not is_primitive(Word([1, 1, 2, 2]), 2)
     assert [n for _, n in whitehead_minimize(Word([1, 2, 1, 2, 1]), 2).steps] == [3, 2, 1]
-    # the patch bites: the sweep that does use the cache fails
-    with pytest.raises(RuntimeError, match="verdict cache used"):
-        verify_nielsen_xcheck(2)
+    # the patch bites: each sweep that reads the class walk fails
+    sweeps = [(verify_nielsen_xcheck, (2,)), (verify_prop24, (2, 2)), (primitive_density, (2, 2))]
+    for sweep, args in sweeps:
+        with pytest.raises(RuntimeError, match="verdict cache used"):
+            sweep(*args)

@@ -542,6 +542,8 @@ def test_sweeps_refuse_a_lost_class(monkeypatch):
         verify_prop24(2, 4)
     with pytest.raises(RuntimeError, match="not 160"):
         primitive_density(2, 4)
+    with pytest.raises(RuntimeError, match="hold 156 words, not 160"):
+        verify_nielsen_xcheck(4)
 
 
 def test_prop24_lists_every_necklace_of_a_failing_class():
@@ -586,13 +588,17 @@ def test_sweeps_check_ranks_once_not_per_word(monkeypatch):
 
     def count(run, *args):
         calls.clear()
-        assert run(*args).passed
+        result = run(*args)
+        assert result.passed if isinstance(result, VerificationReport) else result
         return len(calls)
 
     # nielsen-xcheck(6) has 11,665 pairs; it made 46,136 calls when each
     # pair went through is_basis_pair_f2 and build_subgroup_graph
     assert count(verify_nielsen_xcheck, 1) == count(verify_nielsen_xcheck, 6) <= 3
     assert count(verify_npbig, 3, 0) == count(verify_npbig, 3, 3) <= 3
+    # the class walk checks its rank once, not once per length
+    assert count(verify_prop24, 2, 1) == count(verify_prop24, 2, 8) <= 1
+    assert count(primitive_density, 3, 1) == count(primitive_density, 3, 8) <= 1
 
 
 def _fold_first_only(loops, rng=None):
