@@ -55,21 +55,14 @@ descent alone.
 
 from __future__ import annotations
 
-from collections import deque
-
-from .automorphisms import (
-    MultiplierAut,
-    _apply_k1_letters,
-    _apply_k2_letters,
-    enumerate_kind1,
-    enumerate_kind2,
-)
+from .automorphisms import MultiplierAut, _apply_k2_letters, enumerate_kind2
 from .whitehead_graph import _cyclic_matrix, _separability, vertex_letters
 from .words import (
     CyclicWord,
     Word,
     _Record,
     _check_int,
+    _class_key,
     _commutator_letters,
     _cyclic_strip,
     _letters_of,
@@ -402,15 +395,45 @@ def _basis_pair_letters(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return len(core) == 4 and canonical_rotation(core) in _F2_COMMUTATOR_ROTATIONS
 
 
+def _primitive_classes(rank: int, max_len: int) -> set[tuple[int, ...]]:
+    """The class keys of the primitive cyclic cores of length <= max_len
+    at the given rank, found without the minimization machinery.
+
+    Closes the class of e1 under the kind 2 moves of enumerate_kind2,
+    keeping images of cyclic length <= max_len: peak reduction (Higgins
+    and Lyndon, J. London Math. Soc. 8, 1974) carries every primitive
+    core down to one letter by strictly shortening kind 2 moves, whose
+    inverses are kind 2 moves too, so no path from e1 needs to leave that
+    window.  A class is named by _class_key, and only one core of each
+    class is moved: kind 1 moves stay inside a class, a kind 2 move
+    conjugated by a signed permutation is again a kind 2 move, and an
+    automorphism commutes with inversion and conjugation, so the images
+    of one core meet the classes of the images of every core of its
+    class.
+    """
+    kind2 = [(t.multiplier, t.members) for t in enumerate_kind2(rank)]
+    classes = {_class_key((1,))}
+    cores = [(1,)]
+    for core in cores:
+        for a, members in kind2:
+            image = _cyclic_strip(_apply_k2_letters(a, members, core))[0]
+            if len(image) <= max_len:
+                key = _class_key(image)
+                if key not in classes:
+                    classes.add(key)
+                    cores.append(image)
+    return classes
+
+
 def primitive_orbit_oracle(rank: int, max_len: int) -> set[Word]:
     """Every primitive word of length <= max_len, found without the
     minimization machinery.
 
-    Closes the set of length 1 cyclic words under all Whitehead
-    automorphisms of both kinds, keeping cyclic cores of length <= max_len
-    (no orbit path needs to leave that window to reach anything inside it),
-    then returns all reduced words whose cyclic core landed in the closure.
-    Exponential in max_len; capped to small ranks on purpose.
+    Closes the symmetry classes of cyclic cores reachable from e1 under
+    Whitehead automorphisms within the window of cyclic length <= max_len
+    (_primitive_classes), then returns all reduced words whose cyclic
+    core's class landed in the closure.  Exponential in max_len; capped to
+    small ranks on purpose.
     """
     _check_int("rank", rank)
     _check_int("max_len", max_len)
@@ -418,32 +441,9 @@ def primitive_orbit_oracle(rank: int, max_len: int) -> set[Word]:
         raise ValueError(f"oracle rank cap is {ORACLE_RANK_CAP}, got {rank}")
     if not 1 <= max_len <= ORACLE_LEN_CAP:
         raise ValueError(f"oracle length cap is {ORACLE_LEN_CAP}, got {max_len}")
-    kind1 = [t.images for t in enumerate_kind1(rank)]
-    kind2 = [(t.multiplier, t.members) for t in enumerate_kind2(rank)]
-    seen: set[tuple[int, ...]] = set()
-    frontier: deque[tuple[int, ...]] = deque()
-    for i in range(1, rank + 1):
-        for g in (i, -i):
-            seen.add((g,))
-            frontier.append((g,))
-    while frontier:
-        cur = frontier.popleft()
-        for images in kind1:
-            img = _apply_k1_letters(images, cur)
-            canon = canonical_rotation(img)  # permutations keep reducedness
-            if canon not in seen and len(canon) <= max_len:
-                seen.add(canon)
-                frontier.append(canon)
-        for a, members in kind2:
-            core = _cyclic_strip(_apply_k2_letters(a, members, cur))[0]
-            if not 1 <= len(core) <= max_len:
-                continue
-            canon = canonical_rotation(core)
-            if canon not in seen:
-                seen.add(canon)
-                frontier.append(canon)
-    out: set[Word] = set()
-    for w in iter_reduced_words(rank, max_len, include_empty=False):
-        if canonical_rotation(_cyclic_strip(w.letters)[0]) in seen:
-            out.add(w)
-    return out
+    classes = _primitive_classes(rank, max_len)
+    return {
+        w
+        for w in iter_reduced_words(rank, max_len, include_empty=False)
+        if _class_key(_cyclic_strip(w.letters)[0]) in classes
+    }

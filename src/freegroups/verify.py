@@ -6,10 +6,12 @@ word; prop24 and primitive_density depend on a word's cyclic core only up
 to symmetry (rotation, inversion and signed generator permutations), so
 they walk one core per symmetry class and count its words exactly.  The
 walk tells classes apart by the gap key, the least rotation of a core's
-signed gaps back to the previous occurrence of each generator.
-nielsen-xcheck reads primitivity word by word, from a table of the
-walk's class verdicts keyed by the gap keys of each class's core and of
-its inverse, so every class verdict comes from the one walk.  The sweeps
+signed gaps back to the previous occurrence of each generator, a fact
+about cyclic words that lives in words (_gap_key), where the orbit
+oracle of primitivity reads it too.  nielsen-xcheck reads primitivity
+word by word, from a table of the walk's class verdicts keyed by the
+gap keys of each class's core and of its inverse, so every class
+verdict comes from the one walk.  The sweeps
 build their words from letters they already know are valid, so they call
 the letter-level routines beneath the public entries (_minimize_letters,
 _basis_pair_letters, _fold_letters, _separability), and no word is
@@ -53,6 +55,7 @@ from .words import (
     _Record,
     _check_int,
     _cyclic_strip,
+    _gap_key,
     _letters_of,
     canonical_rotation,
     count_reduced_words,
@@ -383,7 +386,9 @@ def _necklaces(rank: int, length: int) -> Iterator[tuple[tuple[int, ...], int]]:
     >>> list(_necklaces(2, 3))
     [((1, 1, 1), 1), ((1, 1, 2), 3), ((1, 2, 2), 3)]
     """
-    alphabet = vertex_letters(range(1, rank + 1))
+    # a prenecklace shorter than length uses fewer than length generators,
+    # so the walk never reaches past the first min(rank, length)
+    alphabet = vertex_letters(range(1, min(rank, length) + 1))
     size = len(alphabet)
     # (prenecklace, its Lyndon prefix length, the generators it uses, its
     # untried next letters); letters are positions in the alphabet, x ^ 1
@@ -404,34 +409,6 @@ def _necklaces(rank: int, length: int) -> Iterator[tuple[tuple[int, ...], int]]:
                 yield tuple(alphabet[y] for y in b), q
         else:
             stack.pop()
-
-
-def _gap_key(core: tuple[int, ...]) -> tuple[int, ...]:
-    """The least rotation of the gap sequence of a cyclic core.
-
-    Position i holds +g or -g, where g is the cyclic distance back to the
-    previous occurrence of the same generator, signed + when it is the
-    same letter and - when it is the inverse.  A signed generator
-    permutation leaves the sequence unchanged and a rotation of the core
-    rotates it.  The back links form one cycle per generator, and the
-    signs fix the letters along each cycle up to one sign, so the
-    sequence fixes the core up to a signed permutation.  The gaps are
-    nonzero ints, which canonical_rotation orders like letters.
-
-    >>> _gap_key((1, 2, -1, 2)), _gap_key((2, -1, -2, -1)), _gap_key((1, 2, 1, 2))
-    ((2, -2, 2, -2), (2, -2, 2, -2), (2, 2, 2, 2))
-    """
-    n = len(core)
-    # the last occurrence of each generator, as a negative index, is the
-    # previous one of its first occurrence
-    last = {abs(x): i - n for i, x in enumerate(core)}
-    gaps = []
-    for i, x in enumerate(core):
-        g = abs(x)
-        j = last[g]
-        last[g] = i
-        gaps.append(i - j if core[j] == x else j - i)
-    return canonical_rotation(tuple(gaps))
 
 
 def _core_classes(rank: int, max_len: int) -> Iterator[tuple[tuple, int, list[int], bool]]:
@@ -514,13 +491,15 @@ def _nielsen_xcheck(max_pair_len: int):
     word's primitivity is its class's verdict from the class walk, looked
     up by the gap key of its cyclic core: each class is filed under the
     keys of its core and of its inverse, which name it up to rotation,
-    signed permutation and inversion."""
+    signed permutation and inversion.  Each word is looked up once per
+    sweep."""
     ball = [w.letters for w in iter_reduced_words(2, max_pair_len, include_empty=True)]
     verdicts = {(): False}  # the empty core is not primitive
     for core, _, _, verdict in _core_classes(2, max_pair_len):
         inverse = tuple(-x for x in reversed(core))
         verdicts[_gap_key(core)] = verdicts[_gap_key(inverse)] = verdict
 
+    @cache
     def primitive(letters: tuple[int, ...]) -> bool:
         return verdicts[_gap_key(_cyclic_strip(letters)[0])]
 
@@ -529,7 +508,6 @@ def _nielsen_xcheck(max_pair_len: int):
     basis_pairs = 0
     for a in ball:
         budget = max_pair_len - len(a)
-        a_primitive = None  # settled at the first basis pair (a, b)
         for b in ball:
             if len(b) > budget:
                 break  # ball is sorted by length
@@ -538,9 +516,7 @@ def _nielsen_xcheck(max_pair_len: int):
             ok = by_commutator == _is_rose(*_fold_letters((a, b)), 2)
             if ok and by_commutator:
                 basis_pairs += 1
-                if a_primitive is None:
-                    a_primitive = primitive(a)
-                ok = a_primitive and primitive(b)
+                ok = primitive(a) and primitive(b)
             if not ok:
                 pair = ", ".join(format_word(Word._wrap(w)) for w in (a, b))
                 counterexamples.append(f"({pair})")

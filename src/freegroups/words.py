@@ -328,6 +328,45 @@ def canonical_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
     return letters[i:] + letters[:i]
 
 
+def _gap_key(core: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of the gap sequence of a cyclic core.
+
+    Position i holds +g or -g, where g is the cyclic distance back to the
+    previous occurrence of the same generator, signed + when it is the
+    same letter and - when it is the inverse.  A signed generator
+    permutation leaves the sequence unchanged and a rotation of the core
+    rotates it.  The back links form one cycle per generator, and the
+    signs fix the letters along each cycle up to one sign, so the
+    sequence fixes the core up to a signed permutation.  The gaps are
+    nonzero ints, which canonical_rotation orders like letters.
+
+    >>> _gap_key((1, 2, -1, 2)), _gap_key((2, -1, -2, -1)), _gap_key((1, 2, 1, 2))
+    ((2, -2, 2, -2), (2, -2, 2, -2), (2, 2, 2, 2))
+    """
+    n = len(core)
+    # the last occurrence of each generator, as a negative index, is the
+    # previous one of its first occurrence
+    last = {abs(x): i - n for i, x in enumerate(core)}
+    gaps = []
+    for i, x in enumerate(core):
+        g = abs(x)
+        j = last[g]
+        last[g] = i
+        gaps.append(i - j if core[j] == x else j - i)
+    return canonical_rotation(tuple(gaps))
+
+
+def _class_key(core: tuple[int, ...]) -> tuple[int, ...]:
+    """The name of the symmetry class of a nonempty cyclic core under
+    rotation, signed generator permutations and inversion: the lesser of
+    the gap keys of the core and of its inverse.
+
+    >>> _class_key((1, 2, 1, -2)) == _class_key((-2, -1, 2, -1))
+    True
+    """
+    return min(_gap_key(core), _gap_key(tuple(-x for x in reversed(core))))
+
+
 def _commutator_letters(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The reduced letters of a^-1 b^-1 a b, for the letters of two
     reduced words, which are not checked here."""

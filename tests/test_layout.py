@@ -113,6 +113,40 @@ def test_the_class_walk_files_no_verdicts():
     assert "_gap_key" in names_used(sweeps["_core_classes"])
 
 
+def test_the_gap_key_lives_in_words():
+    # a gap key is a fact about cyclic words: words defines it once, and
+    # the walk and the orbit oracle both read it from there
+    owners = {
+        path.name
+        for path in Path(freegroups.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_gap_key"
+    }
+    assert owners == {"words.py"}
+
+
+def test_the_orbit_oracle_settles_no_class_by_descent():
+    # the oracle closes classes under Whitehead moves alone, so it checks
+    # the descent, the lemma and the class walk from outside
+    routines = functions("primitivity")
+    machinery = {
+        "_minimize_letters",
+        "_find_move",
+        "_max_flow",
+        "_separability",
+        "is_primitive",
+        "whitehead_minimize",
+        "_core_classes",
+    }
+    for name in ("primitive_orbit_oracle", "_primitive_classes"):
+        assert names_used(routines[name]) & machinery == set(), name
+    assert "_primitive_classes" in names_used(routines["primitive_orbit_oracle"])
+    tree = ast.parse((Path(freegroups.__file__).parent / "primitivity.py").read_text())
+    assert "verify" not in imported_modules(tree)
+    # kind 1 moves stay inside a class, so the closure applies none
+    assert names_used(tree) & {"enumerate_kind1", "_apply_k1_letters"} == set()
+
+
 def test_the_lemma_checkers_never_call_is_primitive():
     # is_primitive answers cores without a cut vertex by Whitehead's
     # cut-vertex lemma; prop24 and npbig check that lemma, so they and the

@@ -778,7 +778,7 @@ def test_oracle_refuses_a_rank_or_length_that_is_no_int(rank, max_len, message, 
     def closure(*args):
         raise AssertionError("the oracle began closing orbits")
 
-    monkeypatch.setattr(primitivity, "enumerate_kind1", closure)
+    monkeypatch.setattr(primitivity, "_primitive_classes", closure)
     with pytest.raises(ValueError, match=f"^{message}$"):
         primitive_orbit_oracle(rank, max_len)
 

@@ -19,8 +19,8 @@ from math import gcd
 import pytest
 
 from freegroups.primitivity import _minimize_letters, is_primitive
-from freegroups.verify import _core_classes, _gap_key, primitive_density, verify_prop24
-from freegroups.words import Word, iter_reduced_words
+from freegroups.verify import _core_classes, primitive_density, verify_prop24
+from freegroups.words import Word, _gap_key, iter_reduced_words
 
 
 def christoffel(p, q):

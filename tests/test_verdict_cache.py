@@ -5,29 +5,38 @@ verify._core_classes, which settles each class of cyclic cores once, on
 its least necklace.  prop24 and density read the walk directly;
 nielsen-xcheck reads it word by word, through a table that files each
 class's verdict under its gap-key pair: the gap keys of its core and of
-its inverse, where a gap key is the least rotation of a core's signed
-gaps back to the previous occurrence of each generator.  A word's
-verdict is then the one filed under the gap key of its cyclic core.  It
-must be the plain minimizer's verdict word for word, the gap-key pairs
-must join exactly the cores that the kind 1 filing joins, every report
-must stay unchanged, each sweep must walk afresh, and the routes that
-check the minimizer independently must never walk.  The references below
-are the sweeps as they read before the class verdicts, calling
-is_primitive once per word, and the kind 1 filing, which files each
-class under the least rotation of every signed permutation image of the
-core and of its inverse.
+its inverse, where a gap key (words._gap_key) is the least rotation of a
+core's signed gaps back to the previous occurrence of each generator.  A
+word's verdict is then the one filed under the gap key of its cyclic
+core.  It must be the plain minimizer's verdict word for word, the
+gap-key pairs must join exactly the cores that the kind 1 filing joins,
+every report must stay unchanged, each sweep must walk afresh, and the
+routes that check the minimizer independently must never walk.  The
+references below are the sweeps as they read before the class verdicts,
+calling is_primitive once per word, and the kind 1 filing, which files
+each class under the least rotation of every signed permutation image of
+the core and of its inverse.
+
+The walk is checked class by class against the orbit oracle's closure,
+primitivity._primitive_classes, which settles no class by descent: it
+names classes by words._class_key, the lesser key of a gap-key pair.
+Both routes read the gap key, so a gap key that merges two classes could
+fool them alike; criterion 1, which compares the oracle with
+is_primitive word by word, catches that.
 """
 
 import hashlib
 import json
+import sys
 from functools import cache
 
 import pytest
 
-from freegroups import verify
+from freegroups import verify, words
 from freegroups.automorphisms import _apply_k1_letters, enumerate_kind1
 from freegroups.primitivity import (
     _minimize_letters,
+    _primitive_classes,
     is_basis_pair_f2,
     is_primitive,
     primitive_orbit_oracle,
@@ -43,12 +52,14 @@ from freegroups.verify import (
 from freegroups.whitehead_graph import build_whitehead_graph
 from freegroups.words import (
     Word,
+    _class_key,
     _cyclic_strip,
     canonical_rotation,
     cyclically_reduce,
     format_word,
     iter_reduced_words,
 )
+from test_rank2_oracle import closed_form_primitive
 
 
 def separable_by_graph(word, rank):
@@ -394,3 +405,82 @@ def test_independent_routes_never_touch_the_cache(monkeypatch):
     for sweep, args in sweeps:
         with pytest.raises(RuntimeError, match="verdict cache used"):
             sweep(*args)
+
+
+def walk_against_oracle(rank, max_len):
+    """(wrong, walked, closure): the walk's class cores whose verdict is
+    not membership of their class in the oracle's closure, the class keys
+    the walk meets, and the closure, the keys of the primitive classes."""
+    closure = _primitive_classes(rank, max_len)
+    walked = set()
+    wrong = []
+    for core, _, _, primitive in verify._core_classes(rank, max_len):
+        walked.add(_class_key(core))
+        if primitive != (_class_key(core) in closure):
+            wrong.append(core)
+    return wrong, walked, closure
+
+
+# (rank, max_len, classes walked, primitive classes)
+WALK_SIZES = [(3, 9, 3431, 1302), (4, 7, 400, 287)]
+
+
+@pytest.mark.parametrize("rank,max_len,classes,primitive", WALK_SIZES)
+def test_the_class_walk_matches_the_orbit_oracle(rank, max_len, classes, primitive):
+    # the oracle meets no class the walk lacks, and agrees on every verdict
+    wrong, walked, closure = walk_against_oracle(rank, max_len)
+    assert wrong == []
+    assert closure <= walked
+    assert (len(walked), len(closure)) == (classes, primitive)
+
+
+def test_the_rank2_walk_and_closure_match_the_closed_form():
+    closure = _primitive_classes(2, 10)
+    walked = set()
+    for core, _, _, primitive in verify._core_classes(2, 10):
+        walked.add(_class_key(core))
+        assert primitive == (_class_key(core) in closure) == closed_form_primitive(core), core
+    assert closure <= walked
+    assert (len(walked), len(closure)) == (779, 17)
+
+
+def test_a_flipped_class_verdict_fails_the_oracle_check(monkeypatch):
+    minimize = verify._minimize_letters
+
+    def flipped(letters, rank, **kwargs):
+        if letters == (1, 2):
+            return letters, []  # as if no move shortened a b
+        return minimize(letters, rank, **kwargs)
+
+    assert walk_against_oracle(3, 5)[0] == []
+    monkeypatch.setattr(verify, "_minimize_letters", flipped)
+    assert walk_against_oracle(3, 5)[0] == [(1, 2)]
+
+
+def test_a_gap_key_that_merges_classes_fails_criterion_1(monkeypatch):
+    # the walk and the oracle share the gap key, so a fault in it is caught
+    # by criterion 1, which reads is_primitive, where no gap key enters
+    real = words._gap_key
+
+    def merged(core):
+        key = real(core)
+        return real((1, 2)) if key == real((1, 1)) else key  # a^2 joins a b
+
+    def criterion_1(rank, max_len):
+        oracle = primitive_orbit_oracle(rank, max_len)
+        return [
+            w
+            for w in iter_reduced_words(rank, max_len, include_empty=False)
+            if is_primitive(w, rank) != (w in oracle)
+        ]
+
+    assert criterion_1(2, 3) == []
+    holders = [
+        module
+        for name, module in sys.modules.items()
+        if name.startswith("freegroups") and getattr(module, "_gap_key", None) is real
+    ]
+    assert {words, verify} <= set(holders)
+    for module in holders:
+        monkeypatch.setattr(module, "_gap_key", merged)
+    assert criterion_1(2, 3) == [Word(x) for x in ([1, 1], [-1, -1], [2, 2], [-2, -2])]

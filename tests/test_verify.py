@@ -9,6 +9,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from freegroups.primitivity import (
     primitive_orbit_oracle,
     whitehead_minimize,
 )
+from freegroups.stallings import build_subgroup_graph
 from freegroups.verify import (
     _CLAIMS,
     _allowed,
@@ -491,6 +493,20 @@ def test_core_classes_meet_each_brute_force_class_once(rank, max_len):
     assert got == expected
 
 
+def test_the_walk_at_a_huge_rank_sizes_its_alphabet_by_the_length():
+    # a class of cores of length <= 4 uses at most 4 generators, so the
+    # walk at rank 10^6 meets the cores it meets at rank 4, and allocates
+    # nothing that grows with the rank
+    tracemalloc.start()
+    try:
+        cores = [core for core, _, _, _ in verify._core_classes(10**6, 4)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert cores == [core for core, _, _, _ in verify._core_classes(4, 4)]
+
+
 @pytest.mark.parametrize("rank,max_len", [(1, 8), (2, 7), (3, 5), (4, 4)])
 def test_class_necklaces_list_the_brute_force_class(rank, max_len):
     # the list a failing prop24 class gives
@@ -648,6 +664,59 @@ def test_stacked_generation_reads_the_fold(monkeypatch, claim, generators):
     assert _CLAIMS[claim].run(truncation=3).passed
     monkeypatch.setattr(verify, "_fold_letters", _fold_first_only)
     assert _CLAIMS[claim].run(truncation=3).counterexamples == generators
+
+
+# --- abelianization: a third route for "no" ---
+
+
+def exponent_sums(letters, rank):
+    """The image of a word in Z^rank: the exponent sum of each generator."""
+    sums = [0] * rank
+    for x in letters:
+        sums[abs(x) - 1] += 1 if x > 0 else -1
+    return sums
+
+
+def test_pairs_off_an_abelian_basis_fail_both_routes():
+    # n words generate F_n only when their exponent sums span Z^n, that is
+    # when the determinant is +-1; every pair of the nielsen-xcheck ball
+    # whose determinant is not must fail the commutator and the rose tests
+    ball = [w.letters for w in iter_reduced_words(2, 6, include_empty=True)]
+    pairs = non_bases = refuted = 0
+    for a in ball:
+        for b in ball:
+            if len(a) + len(b) > 6:
+                break  # ball is sorted by length
+            pairs += 1
+            by_commutator = primitivity._basis_pair_letters(a, b)
+            non_bases += not by_commutator
+            (p, q), (r, s) = exponent_sums(a, 2), exponent_sums(b, 2)
+            if abs(p * s - q * r) != 1:
+                refuted += 1
+                assert not by_commutator, (a, b)
+                assert not stallings._is_rose(*stallings._fold_letters((a, b)), 2), (a, b)
+    assert (pairs, non_bases, refuted) == (11_665, 10_761, 9_897)
+
+
+def test_claim_one_misses_e1_by_exponent_sums():
+    # b_i = e_i e_{i+1}^2 is the last b with a nonzero sum at e_i, and that
+    # sum is 1, so coordinates 1 .. N fix the only coefficients c_i that
+    # could give e1, one at a time: c_1 = 1 and c_i = -2 c_{i-1}.
+    # Coordinate N + 1 then reads 2 c_N, not 0, so e1 is not in the span
+    # of b_1 .. b_N, as the fold finds
+    for n in range(1, 11):
+        b = [(i, i + 1, i + 1) for i in range(1, n + 1)]
+        sums = [exponent_sums(letters, n + 1) for letters in b]
+        e1 = exponent_sums((1,), n + 1)
+        c = []
+        for i in range(n):
+            assert sums[i][i] == 1 and all(v[i] == 0 for v in sums[i + 1 :])
+            c.append(e1[i] - sum(cj * v[i] for cj, v in zip(c, sums)))
+        assert c[-1] == (-2) ** (n - 1)
+        assert sum(cj * v[n] for cj, v in zip(c, sums)) == 2 * c[-1] != e1[n]
+        graph = build_subgroup_graph([Word(letters) for letters in b], n + 1)
+        assert not graph.contains(Word([1]))
+
 
 def test_npbig_hands_the_minimizer_the_matrix_it_tested(monkeypatch):
     # the two verdicts share the first Whitehead matrix and nothing else
