@@ -2,12 +2,13 @@
 
 Verdict subcommands (conjugate, cutvertex, primitive, nielsen, member,
 verify) exit 0 when the answer is yes / everything passed and 1 otherwise;
-malformed words, bad ranks, bad flags, a --dot or --json file that
-cannot be written, and a standard output closed before the command ends
-(as by `| head`) exit 2.  Any other exception is a fault in the program,
-not a verdict: it prints its traceback and an "internal error:" line and
-exits 3.  Word arguments take either letter form ("abA", "a^3B") or
-whitespace separated indices ("1 2 -1").
+malformed words, bad ranks, bad flags (among them --dot - and --json -,
+since "-" would name a file, not standard output), a --dot or --json
+file that cannot be written, and a standard output closed before the
+command ends (as by `| head`) exit 2.  Any other exception is a fault
+in the program, not a verdict: it prints its traceback and an "internal
+error:" line and exits 3.  Word arguments take either letter form
+("abA", "a^3B") or whitespace separated indices ("1 2 -1").
 
 --dot and --json overwrite an existing file in place, through a symlink
 and keeping its permissions, and cut it to the new length; they never
@@ -28,6 +29,15 @@ from .stallings import build_subgroup_graph
 from .verify import primitive_density, reports_to_json, run_claims
 from .whitehead_graph import build_whitehead_graph
 from .words import PARSE_LETTER_CAP, Word, are_conjugate, format_word, letter_name, parse_word
+
+
+def _output_file(path: str) -> str:
+    """The value of --dot or --json.  These flags take a file name, so
+    "-", which elsewhere means standard output, is refused as a bad flag
+    value rather than written as a file named "-"."""
+    if path == "-":
+        raise argparse.ArgumentTypeError("'-' names no file here; write to /dev/stdout instead")
+    return path
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("wgraph", help="print the Whitehead graph of a word")
     s.add_argument("word")
     s.add_argument("--rank", type=int, required=True)
-    s.add_argument("--dot", metavar="FILE", help="also write DOT to FILE")
+    s.add_argument("--dot", metavar="FILE", type=_output_file, help="also write DOT to FILE")
 
     s = sub.add_parser("cutvertex", help="report separability of the Whitehead graph")
     s.add_argument("word")
@@ -70,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("fold", help="fold generators into a subgroup graph")
     s.add_argument("gens", nargs="+", metavar="gen")
     s.add_argument("--rank", type=int, required=True)
-    s.add_argument("--dot", metavar="FILE", help="also write DOT to FILE")
+    s.add_argument("--dot", metavar="FILE", type=_output_file, help="also write DOT to FILE")
 
     s = sub.add_parser("member", help="test subgroup membership by folding")
     s.add_argument("word")
@@ -86,7 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rank", type=int)
     s.add_argument("--max-len", type=int)
     s.add_argument("--truncation", type=int)
-    s.add_argument("--json", metavar="FILE", help="write the JSON report array to FILE")
+    s.add_argument(
+        "--json", metavar="FILE", type=_output_file, help="write the JSON report array to FILE"
+    )
 
     return p
 

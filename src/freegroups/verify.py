@@ -4,7 +4,9 @@ Each checker covers an exhaustive ball of reduced words (never a
 sample) and returns a VerificationReport.  Most test their claim on every
 word; prop24 and primitive_density depend on a word's cyclic core only up
 to symmetry (rotation, inversion and signed generator permutations), so
-they walk one core per symmetry class and count its words exactly.  The
+they walk one core per symmetry class and count its words exactly.
+prop24 names a failing class by that core, its least necklace, so its
+report does not grow with the rank.  The
 walk tells classes apart by the gap key, the least rotation of a core's
 signed gaps back to the previous occurrence of each generator, a fact
 about cyclic words that lives in words (_gap_key), where the orbit
@@ -37,7 +39,7 @@ from __future__ import annotations
 import json
 import time
 from functools import cache
-from itertools import permutations, product
+from itertools import product
 from math import perm
 from typing import Callable, Iterator, NamedTuple
 
@@ -57,11 +59,9 @@ from .words import (
     _cyclic_strip,
     _gap_key,
     _letters_of,
-    canonical_rotation,
     count_reduced_words,
     format_word,
     iter_reduced_words,
-    word_sort_key,
 )
 
 
@@ -339,10 +339,10 @@ def verify_prop24(rank: int, max_len: int) -> VerificationReport:
 
 def _prop24(rank: int, max_len: int):
     """The prop24 sweep, one descent and one separability test per
-    symmetry class of cyclic cores.  A class that fails lists all its
-    necklaces, by length and then in letter order, as a sweep of the ball
-    first meets them."""
-    failing = []
+    symmetry class of cyclic cores.  A class that fails is named by its
+    core, its least necklace, in the walk's order: by length, then in
+    letter order, which is word_sort_key order."""
+    counterexamples = []
     checked = 0
     primitives = 0
     distinct = 0
@@ -354,8 +354,7 @@ def _prop24(rank: int, max_len: int):
         primitives += count
         distinct += necklaces
         if not _separability(_cyclic_matrix(core), rank)[0]:
-            failing += _class_necklaces(core, rank)
-    counterexamples = [format_word(w) for w in sorted(map(Word._wrap, failing), key=word_sort_key)]
+            counterexamples.append(format_word(Word._wrap(core)))
     return counterexamples, {
         "words_checked": checked,
         "primitives_found": primitives,
@@ -462,20 +461,6 @@ def _core_classes(rank: int, max_len: int) -> Iterator[tuple[tuple, int, list[in
             f"the symmetry classes of the rank {rank} ball up to length {max_len}"
             f" hold {counted} words, not {expected}"
         )
-
-
-def _class_necklaces(core: tuple[int, ...], rank: int) -> set[tuple[int, ...]]:
-    """The necklaces of the symmetry class of a normal core: the least
-    rotations of the signed relabelings of the core and of its inverse."""
-    used = max(core)
-    found = set()
-    for word in (core, tuple(-x for x in reversed(core))):
-        for gens in permutations(range(1, rank + 1), used):
-            for signs in product((1, -1), repeat=used):
-                image = (0,) + tuple(s * g for s, g in zip(signs, gens))
-                relabeled = tuple(image[x] if x > 0 else -image[-x] for x in word)
-                found.add(canonical_rotation(relabeled))
-    return found
 
 
 def verify_nielsen_xcheck(max_pair_len: int) -> VerificationReport:

@@ -354,6 +354,27 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wgraph", "ab", "--rank", "2", "--dot"],
+        ["fold", "ab", "--rank", "2", "--dot"],
+        ["verify", "claimI", "--json"],
+    ],
+)
+def test_dash_output_is_refused_as_a_bad_flag(capsys, tmp_path, monkeypatch, argv):
+    # "-" would name a file in the working directory, not standard output,
+    # so argparse refuses it before the command runs
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "-"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {argv[-1]}: '-' names no file here; write to /dev/stdout" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- output files: overwritten in place, never truncated to zero on open ---
 
 OUTPUT_ARGV = [

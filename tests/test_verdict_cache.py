@@ -15,7 +15,8 @@ routes that check the minimizer independently must never walk.  The
 references below are the sweeps as they read before the class verdicts,
 calling is_primitive once per word, and the kind 1 filing, which files
 each class under the least rotation of every signed permutation image of
-the core and of its inverse.
+the core and of its inverse.  prop24 names a failing class by its least
+core, so its reference joins the failing cores by those kind 1 images.
 
 The walk is checked class by class against the orbit oracle's closure,
 primitivity._primitive_classes, which settles no class by descent: it
@@ -58,6 +59,8 @@ from freegroups.words import (
     cyclically_reduce,
     format_word,
     iter_reduced_words,
+    parse_word,
+    word_sort_key,
 )
 from test_rank2_oracle import closed_form_primitive
 
@@ -345,12 +348,29 @@ def test_prop24_report_matches_cacheless_reference(rank, max_len):
     assert verify_prop24(rank, max_len).to_json() == reference_prop24(rank, max_len).to_json()
 
 
+def reference_class_cores(cores, rank):
+    """The least of the given cores in each symmetry class they fall in,
+    in word_sort_key order.  Two cores share a class when they have the
+    same set of least rotations of the kind 1 images of a core and of its
+    inverse; no gap key is read."""
+    kind1 = [t.images for t in enumerate_kind1(rank)]
+    least = {}
+    for core in cores:
+        orbit = frozenset(
+            canonical_rotation(_apply_k1_letters(images, word))
+            for images in kind1
+            for word in (core, inverse(core))
+        )
+        least[orbit] = min(least.get(orbit, core), core, key=lambda c: word_sort_key(Word(c)))
+    return sorted(least.values(), key=lambda c: word_sort_key(Word(c)))
+
+
 def test_prop24_counterexamples_match_reference(monkeypatch):
     # a fake separability test that fails every core of length 5; length is
-    # a class invariant, so the class-level verdicts must reproduce the
-    # per-core counterexample list, each core as first met.  The sweep
-    # reads separability off the edge matrix of the core, which has one
-    # edge per letter of a cyclically reduced core.
+    # a class invariant, so the class-level verdicts must name the classes
+    # of the per-core counterexample list, each by its least core.  The
+    # sweep reads separability off the edge matrix of the core, which has
+    # one edge per letter of a cyclically reduced core.
     def fake_separability(m, rank):
         return sum(sum(row.values()) for row in m) // 2 != 5, True, []
 
@@ -360,8 +380,13 @@ def test_prop24_counterexamples_match_reference(monkeypatch):
     monkeypatch.setattr(verify, "_separability", fake_separability)
     for rank, max_len in ((2, 6), (3, 5)):
         got = verify_prop24(rank, max_len)
-        assert got.counterexamples
-        assert got.to_json() == reference_prop24(rank, max_len, fake_separable).to_json()
+        reference = reference_prop24(rank, max_len, fake_separable).to_json_dict()
+        cores = [parse_word(text).letters for text in reference["counterexamples"]]
+        named = reference_class_cores(cores, rank)
+        # classes join cores, so the report is shorter than the core list
+        assert 0 < len(named) < len(cores)
+        reference["counterexamples"] = [format_word(Word(core)) for core in named]
+        assert got.to_json_dict() == reference
 
 
 @pytest.mark.parametrize("rank,max_len", [(1, 6), (2, 7), (3, 5), (2, 8), (3, 6)])

@@ -9,6 +9,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -507,13 +508,6 @@ def test_the_walk_at_a_huge_rank_sizes_its_alphabet_by_the_length():
     assert cores == [core for core, _, _, _ in verify._core_classes(4, 4)]
 
 
-@pytest.mark.parametrize("rank,max_len", [(1, 8), (2, 7), (3, 5), (4, 4)])
-def test_class_necklaces_list_the_brute_force_class(rank, max_len):
-    # the list a failing prop24 class gives
-    for block in brute_force_classes(rank, max_len):
-        assert verify._class_necklaces(min(block, key=letter_sort_key), rank) == block
-
-
 def planted(old, new):
     """_core_classes with one fault planted in its source."""
     source = inspect.getsource(verify._core_classes)
@@ -564,11 +558,34 @@ def test_sweeps_refuse_a_lost_class(monkeypatch):
 
 def test_prop24_lists_every_necklace_of_a_failing_class():
     # e1 is primitive, yet its graph at rank 1 is connected with no cut
-    # vertex: the class of e1 fails and lists both of its necklaces
+    # vertex: the class of e1 fails, and of its two necklaces a and A it
+    # is named by its core a; the stats still count both
     assert verify._prop24(1, 4) == (
-        ["a", "A"],
+        ["a"],
         {"words_checked": 8, "primitives_found": 2, "distinct_cores": 2},
     )
+
+
+def fails_every_core_of_length_5(m, rank):
+    # a fake separability test: the edge matrix of a cyclically reduced
+    # core has one edge per letter
+    return sum(sum(row.values()) for row in m) // 2 != 5, True, []
+
+
+def test_prop24_names_failing_classes_at_a_huge_rank(monkeypatch):
+    # a class of cores of length 5 uses at most 5 generators, so the
+    # failing classes at rank 10^6 are those at rank 5, each named by its
+    # core, in word_sort_key order, and naming them takes no time that
+    # grows with the rank
+    monkeypatch.setattr(verify, "_separability", fails_every_core_of_length_5)
+    at_rank_5 = verify._prop24(5, 5)[0]
+    start = time.perf_counter()
+    at_huge_rank = verify._prop24(10**6, 5)[0]
+    assert time.perf_counter() - start < 1
+    assert at_huge_rank == at_rank_5
+    assert len(at_rank_5) == 15
+    ordered = [parse_word(text) for text in at_rank_5]
+    assert ordered == sorted(ordered, key=word_sort_key)
 
 
 def test_nielsen_xcheck_small():
@@ -716,6 +733,130 @@ def test_claim_one_misses_e1_by_exponent_sums():
         assert sum(cj * v[n] for cj, v in zip(c, sums)) == 2 * c[-1] != e1[n]
         graph = build_subgroup_graph([Word(letters) for letters in b], n + 1)
         assert not graph.contains(Word([1]))
+
+
+# --- Nielsen reduction: an independent route for "yes" ---
+
+
+def length_reducing_move(gens):
+    """(i, u) for the first Nielsen move u_i -> u_i u_j^+-1 or
+    u_j^+-1 u_i that makes u_i shorter, with u the new u_i, or None."""
+    for i, u in enumerate(gens):
+        for j, v in enumerate(gens):
+            if i == j:
+                continue
+            for w in (v, tuple(-x for x in reversed(v))):
+                for product in (u + w, w + u):
+                    reduced = Word(product).letters
+                    if len(reduced) < len(u):
+                        return i, reduced
+    return None
+
+
+def nielsen_reduces_to_letters(gens, rank):
+    """Whether greedy Nielsen reduction carries the letter tuples gens to
+    rank distinct letters, which proves them a basis of F_rank (Nielsen
+    1921; Lyndon and Schupp, Ch. I.2).  Only moves that shorten a
+    generator are made, so the reduction can get stuck on a basis that
+    needs a move of equal length first; the checks below count that as a
+    failure."""
+    gens = list(gens)
+    while (move := length_reducing_move(gens)) is not None:
+        i, gens[i] = move
+    letters = [u[0] for u in gens if len(u) == 1]
+    return len(letters) == len(gens) and sorted(map(abs, letters)) == list(range(1, rank + 1))
+
+
+def fold_says_basis(gens, rank):
+    return stallings._is_rose(*stallings._fold_letters(gens), rank)
+
+
+def stacked_generation_failures(truncation):
+    """(claim, n) for each generating set of claimI, (b_1, ..., b_n,
+    e_{n+1}), and of lemma38, (c_1, ..., c_n, e_{n+1}), that Nielsen
+    reduction does not carry to n + 1 distinct letters, or that the fold
+    does not call a basis."""
+    failures = []
+    for n in range(1, truncation + 1):
+        families = {
+            "claimI": [(i, i + 1, i + 1) for i in range(1, n + 1)],
+            "lemma38": [verify._c_word(k).letters for k in range(1, n + 1)],
+        }
+        for claim, gens in families.items():
+            gens = gens + [(n + 1,)]
+            if not (nielsen_reduces_to_letters(gens, n + 1) and fold_says_basis(gens, n + 1)):
+                failures.append((claim, n))
+    return failures
+
+
+def pair_ball_disagreements(max_pair_len):
+    """(pairs that the fold and Nielsen reduction judge differently, the
+    pairs the fold calls a basis) over the nielsen-xcheck ball.  A pair
+    that reduces to two letters is a basis, and a basis the reduction gets
+    stuck on disagrees with the fold too."""
+    ball = [w.letters for w in iter_reduced_words(2, max_pair_len, include_empty=True)]
+    disagreements = []
+    bases = 0
+    for a in ball:
+        for b in ball:
+            if len(a) + len(b) > max_pair_len:
+                break  # ball is sorted by length
+            by_fold = fold_says_basis((a, b), 2)
+            bases += by_fold
+            if by_fold != nielsen_reduces_to_letters((a, b), 2):
+                disagreements.append((a, b))
+    return disagreements, bases
+
+
+def test_nielsen_reduction_confirms_the_stacked_families():
+    assert stacked_generation_failures(10) == []
+
+
+def test_nielsen_reduction_agrees_with_the_fold_on_the_pair_ball():
+    # 11,665 pairs, of which 10,761 are no basis by the commutator test
+    assert pair_ball_disagreements(6) == ([], 11_665 - 10_761)
+
+
+def skipping_one_merge():
+    """_fold_letters with one fault planted in its source: each fold skips
+    the first merge it pops."""
+    source = inspect.getsource(stallings._fold_letters)
+    for old, new in (
+        ("    pending: list = []\n", "    pending: list = []\n    skipped = []\n"),
+        (
+            "            a, b = pending.pop()\n",
+            "            a, b = pending.pop()\n"
+            "            if not skipped:\n"
+            "                skipped.append((a, b))\n"
+            "                continue\n",
+        ),
+    ):
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = dict(vars(stallings))
+    exec(source, namespace)
+    return namespace["_fold_letters"]
+
+
+def test_a_skipped_merge_fails_the_nielsen_checks(monkeypatch):
+    monkeypatch.setattr(stallings, "_fold_letters", skipping_one_merge())
+    assert stacked_generation_failures(10)
+    assert pair_ball_disagreements(6)[0]
+
+
+# --- the two stacked families span one subgroup ---
+
+
+def test_the_stacked_families_fold_to_one_graph():
+    # c_k = c_{k-1} b_k with b_k = e_k e_{k+1}^2, so <c_1, ..., c_n> and
+    # <b_1, ..., b_n> are one subgroup, and so are the two with e_{n+1};
+    # folding either family must give one graph
+    for n in range(1, 41):
+        b = [Word((i, i + 1, i + 1)) for i in range(1, n + 1)]
+        c = [verify._c_word(k) for k in range(1, n + 1)]
+        for extra in ([], [Word([n + 1])]):
+            graphs = [build_subgroup_graph(gens + extra, n + 1) for gens in (b, c)]
+            assert graphs[0] == graphs[1], (n, extra)
 
 
 def test_npbig_hands_the_minimizer_the_matrix_it_tested(monkeypatch):

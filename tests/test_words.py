@@ -69,16 +69,6 @@ def random_raw(rng, rank, max_len):
     return [rng.choice([1, -1]) * rng.randint(1, rank) for _ in range(rng.randint(0, max_len))]
 
 
-def random_reduced(rng, rank, length):
-    out = []
-    while len(out) < length:
-        x = rng.choice([1, -1]) * rng.randint(1, rank)
-        if out and out[-1] == -x:
-            continue
-        out.append(x)
-    return Word(out)
-
-
 # ---------------------------------------------------------------- reduction
 
 def test_reduce_cancels_inner_pair():
