@@ -13,7 +13,10 @@ error:" line and exits 3.  Word arguments take either letter form
 --dot and --json overwrite an existing file in place, through a symlink
 and keeping its permissions, and cut it to the new length; they never
 truncate it to zero first.  A crash in mid-write can leave a partial
-file, as with any plain write.
+file, as with any plain write.  A file that standard output is open on,
+such as /dev/stdout, is written through standard output instead, in
+order after the console lines, so a redirect to a file gives the same
+bytes as a pipe.
 """
 
 from __future__ import annotations
@@ -103,6 +106,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _is_stdout(path: str) -> bool:
+    """Whether path names the file standard output is open on.  False
+    when standard output has no file descriptor, as under capture."""
+    try:
+        out = os.fstat(sys.stdout.fileno())
+        target = os.stat(path)
+    except (OSError, ValueError):  # io.UnsupportedOperation is both
+        return False
+    return (out.st_dev, out.st_ino) == (target.st_dev, target.st_ino)
+
+
 def _write(path: str, text: str) -> None:
     """Write an output file; failing to is a usage error, not a fault.
 
@@ -111,20 +125,28 @@ def _write(path: str, text: str) -> None:
     for 55-80 ms on an ext4 root mounted with discard, likely its
     replace-via-truncate handling (auto_da_alloc).  Only a regular file
     is cut: ftruncate fails on /dev/null and on pipes.
+
+    A path that names the file standard output is open on (such as
+    /dev/stdout) is written through sys.stdout instead, after what it
+    already holds: opened afresh, a regular file would be written from
+    offset 0 and cut, over the shell's own offset.
     """
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    if _is_stdout(path):
+        sys.stdout.write(text)
+    else:
         try:
-            f = open(fd, "w")
-        except BaseException:
-            os.close(fd)
-            raise
-        with f:
-            f.write(text)
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                f.truncate()
-    except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+            try:
+                f = open(fd, "w")
+            except BaseException:
+                os.close(fd)
+                raise
+            with f:
+                f.write(text)
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    f.truncate()
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
     print(f"wrote {path}")
 
 

@@ -1,19 +1,21 @@
 """Batch checks that sweep word balls and report pass or fail.
 
 Each checker covers an exhaustive ball of reduced words (never a
-sample) and returns a VerificationReport.  Most test their claim on every
-word; prop24 and primitive_density depend on a word's cyclic core only up
-to symmetry (rotation, inversion and signed generator permutations), so
-they walk one core per symmetry class and count its words exactly.
-prop24 names a failing class by that core, its least necklace, so its
-report does not grow with the rank.  The
-walk tells classes apart by the gap key, the least rotation of a core's
+sample) and returns a VerificationReport.  fact1, npbig and fincov test
+their claim on every word.  prop24 and primitive_density depend on a word's
+cyclic core only up to symmetry (rotation, inversion and signed
+generator permutations), so they walk one core per symmetry class and
+count its words exactly.  prop24 names a failing class by that core, its
+least necklace, so its report does not grow with the rank.  The walk
+tells classes apart by the gap key, the least rotation of a core's
 signed gaps back to the previous occurrence of each generator, a fact
 about cyclic words that lives in words (_gap_key), where the orbit
-oracle of primitivity reads it too.  nielsen-xcheck reads primitivity
-word by word, from a table of the walk's class verdicts keyed by the
-gap keys of each class's core and of its inverse, so every class
-verdict comes from the one walk.  The sweeps
+oracle of primitivity reads it too.  nielsen-xcheck's three routes are
+invariant under the signed permutations of e1 and e2, so it checks one
+pair per class of them, counts the class's pairs exactly, and lists
+every pair of a failing class.  It reads primitivity from a table of the
+walk's class verdicts keyed by the gap keys of each class's core and of
+its inverse, so every class verdict comes from the one walk.  The sweeps
 build their words from letters they already know are valid, so they call
 the letter-level routines beneath the public entries (_minimize_letters,
 _basis_pair_letters, _fold_letters, _separability), and no word is
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_right
 from functools import cache
 from itertools import product
 from math import perm
@@ -467,17 +470,53 @@ def verify_nielsen_xcheck(max_pair_len: int) -> VerificationReport:
     """Three routes to "is (a, b) a basis of the rank 2 group" must agree
     on every pair with |a| + |b| within the bound: the commutator conjugacy
     test, folding to the rose, and (when they say yes) primitivity of both
-    coordinates."""
+    coordinates.  Each route is invariant under the signed permutations
+    of e1 and e2, so the sweep checks one pair per class of them."""
     return _CLAIMS["nielsen-xcheck"].run(max_pair_len=max_pair_len)
 
 
+def _relabel_extent(letters: tuple[int, ...], used: int) -> int | None:
+    """k when a relabel-normal prefix using e1, ..., e_used followed by
+    letters is relabel-normal and uses e1, ..., e_k, else None."""
+    for x in letters:
+        if abs(x) > used:
+            if x != used + 1:
+                return None
+            used = x
+    return used
+
+
+def _pair_class(a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """The images of the pair (a, b) under the 8 signed permutations of
+    e1 and e2: its closure under inverting e1 and swapping e1 with e2,
+    which generate them."""
+    moves = ({1: -1, -1: 1, 2: 2, -2: -2}, {1: 2, -1: -2, 2: 1, -2: -1})
+    images = [(a, b)]
+    for pair in images:  # grows as it is read
+        for move in moves:
+            image = tuple(tuple(move[x] for x in w) for w in pair)
+            if image not in images:
+                images.append(image)
+    return images
+
+
 def _nielsen_xcheck(max_pair_len: int):
-    """The nielsen-xcheck sweep, on the letters of the rank 2 ball.  A
-    word's primitivity is its class's verdict from the class walk, looked
-    up by the gap key of its cyclic core: each class is filed under the
-    keys of its core and of its inverse, which name it up to rotation,
-    signed permutation and inversion.  Each word is looked up once per
-    sweep."""
+    """The nielsen-xcheck sweep, on the letters of the rank 2 ball, one
+    pair per class under the signed permutations of e1 and e2: the pair
+    whose concatenation a b is relabel-normal, the rule of _necklaces.  A
+    checked pair using k generators stands for its 2^k 2!/(2-k)! images,
+    which the stats count, and a failing one for all of them, listed in
+    the order of a sweep of every pair: by the ball positions of a, then
+    of b.  The routes agree on a class because an automorphism keeps a
+    basis a basis and a word primitive, and relabels the fold and the
+    commutator.  Raises RuntimeError unless the class sizes add up to the
+    pairs of the ball.
+
+    A word's primitivity is its class's verdict from the class walk,
+    looked up by the gap key of its cyclic core: each class is filed
+    under the keys of its core and of its inverse, which name it up to
+    rotation, signed permutation and inversion.  Each word is looked up
+    once per sweep."""
     ball = [w.letters for w in iter_reduced_words(2, max_pair_len, include_empty=True)]
     verdicts = {(): False}  # the empty core is not primitive
     for core, _, _, verdict in _core_classes(2, max_pair_len):
@@ -488,23 +527,43 @@ def _nielsen_xcheck(max_pair_len: int):
     def primitive(letters: tuple[int, ...]) -> bool:
         return verdicts[_gap_key(_cyclic_strip(letters)[0])]
 
-    counterexamples = []
+    sizes = [2**k * perm(2, k) for k in range(3)]
+    # tails[m]: each word b, with the k generators a b uses, that keeps a b
+    # relabel-normal after an a using m generators, in ball order
+    tails = [[], [], []]
+    for b in ball:
+        for m, tail in enumerate(tails):
+            k = _relabel_extent(b, m)
+            if k is not None:
+                tail.append((b, k))
+    position = {w: i for i, w in enumerate(ball)}
+    failing = []
     checked = 0
     basis_pairs = 0
-    for a in ball:
+    for a, m in tails[0]:
         budget = max_pair_len - len(a)
-        for b in ball:
+        for b, k in tails[m]:
             if len(b) > budget:
                 break  # ball is sorted by length
-            checked += 1
+            checked += sizes[k]
             by_commutator = _basis_pair_letters(a, b)
             ok = by_commutator == _is_rose(*_fold_letters((a, b)), 2)
             if ok and by_commutator:
-                basis_pairs += 1
+                basis_pairs += sizes[k]
                 ok = primitive(a) and primitive(b)
             if not ok:
-                pair = ", ".join(format_word(Word._wrap(w)) for w in (a, b))
-                counterexamples.append(f"({pair})")
+                failing += ((position[x], position[y]) for x, y in _pair_class(a, b))
+    lengths = [len(w) for w in ball]
+    pairs = sum(bisect_right(lengths, max_pair_len - n) for n in lengths)
+    if checked != pairs:
+        raise RuntimeError(
+            f"the signed permutation classes of the rank 2 pairs up to length"
+            f" {max_pair_len} hold {checked} pairs, not {pairs}"
+        )
+    counterexamples = [
+        f"({format_word(Word._wrap(ball[i]))}, {format_word(Word._wrap(ball[j]))})"
+        for i, j in sorted(failing)
+    ]
     return counterexamples, {"words_checked": checked, "basis_pairs": basis_pairs}
 
 

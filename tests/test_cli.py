@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -466,6 +467,35 @@ def test_output_never_opened_with_o_trunc(capsys, tmp_path, monkeypatch, argv):
     assert flags_seen, "the writer no longer opens through os.open"
     assert not any(flags & os.O_TRUNC for flags in flags_seen)
     assert target.read_bytes() == expected
+
+
+def untimed(data):
+    """Console output with the wall time of each verify line masked."""
+    return re.sub(rb"\d+\.\d+s\)", b"s)", data)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "claimI", "--truncation", "2", "--json"],
+        ["fold", "ab", "ba", "--rank", "2", "--dot"],
+    ],
+)
+def test_dev_stdout_redirected_to_a_file_matches_a_pipe(tmp_path, argv):
+    # /dev/stdout names the file a shell redirected standard output to;
+    # opened afresh, the report would land at offset 0, under the console
+    # lines, so it is written through standard output, in order
+    command = [sys.executable, "-m", "freegroups", *argv]
+    report = tmp_path / "report"
+    assert subprocess.run([*command, str(report)], capture_output=True, timeout=60).returncode == 0
+    piped = subprocess.run([*command, "/dev/stdout"], capture_output=True, timeout=60)
+    redirected = tmp_path / "out"
+    with open(redirected, "wb") as out:
+        code = subprocess.run([*command, "/dev/stdout"], stdout=out, timeout=60).returncode
+    assert piped.returncode == code == 0
+    assert untimed(redirected.read_bytes()) == untimed(piped.stdout)
+    assert piped.stdout.endswith(report.read_bytes() + b"wrote /dev/stdout\n")
 
 
 def test_closed_stdout_exits_2():

@@ -3,20 +3,22 @@
 Every class verdict comes by one route: the class walk,
 verify._core_classes, which settles each class of cyclic cores once, on
 its least necklace.  prop24 and density read the walk directly;
-nielsen-xcheck reads it word by word, through a table that files each
-class's verdict under its gap-key pair: the gap keys of its core and of
-its inverse, where a gap key (words._gap_key) is the least rotation of a
-core's signed gaps back to the previous occurrence of each generator.  A
-word's verdict is then the one filed under the gap key of its cyclic
-core.  It must be the plain minimizer's verdict word for word, the
-gap-key pairs must join exactly the cores that the kind 1 filing joins,
-every report must stay unchanged, each sweep must walk afresh, and the
-routes that check the minimizer independently must never walk.  The
-references below are the sweeps as they read before the class verdicts,
-calling is_primitive once per word, and the kind 1 filing, which files
-each class under the least rotation of every signed permutation image of
-the core and of its inverse.  prop24 names a failing class by its least
-core, so its reference joins the failing cores by those kind 1 images.
+nielsen-xcheck reads it for the coordinates of one pair per class of
+pairs under the signed permutations of e1 and e2, through a table that
+files each class's verdict under its gap-key pair: the gap keys of its
+core and of its inverse, where a gap key (words._gap_key) is the least
+rotation of a core's signed gaps back to the previous occurrence of each
+generator.  A word's verdict is then the one filed under the gap key of
+its cyclic core.  It must be the plain minimizer's verdict word for
+word, the gap-key pairs must join exactly the cores that the kind 1
+filing joins, every report must stay unchanged, each sweep must walk
+afresh, and the routes that check the minimizer independently must
+never walk.  The references below are the sweeps as they read before
+the class verdicts, calling is_primitive once per word and checking
+every pair, and the kind 1 filing, which files each class under the
+least rotation of every signed permutation image of the core and of its
+inverse.  prop24 names a failing class by its least core, so its
+reference joins the failing cores by those kind 1 images.
 
 The walk is checked class by class against the orbit oracle's closure,
 primitivity._primitive_classes, which settles no class by descent: it
@@ -33,7 +35,7 @@ from functools import cache
 
 import pytest
 
-from freegroups import verify, words
+from freegroups import stallings, verify, words
 from freegroups.automorphisms import _apply_k1_letters, enumerate_kind1
 from freegroups.primitivity import (
     _minimize_letters,
@@ -395,7 +397,28 @@ def test_density_matches_cacheless_reference(rank, max_len):
 
 
 def test_nielsen_xcheck_report_matches_cacheless_reference():
-    assert verify_nielsen_xcheck(5).to_json() == reference_nielsen_xcheck(5).to_json()
+    # the grid's size: the sweep checks one pair per class under the
+    # signed permutations of e1 and e2, the reference every pair
+    assert verify_nielsen_xcheck(6).to_json() == reference_nielsen_xcheck(6).to_json()
+
+
+def test_a_fault_that_breaks_the_symmetry_is_pinned_by_the_reference(monkeypatch):
+    # a fold that drops every loop starting with e2^-1 is no longer
+    # invariant under the signed permutations, so the class sweep, which
+    # folds one pair per class, lists another set of failing pairs than a
+    # sweep of every pair; the word-level reference test above is what
+    # pins faults of this kind, since the reports then differ
+    fold = stallings._fold_letters
+
+    def dropping(loops, rng=None):
+        return fold([loop for loop in loops if loop[:1] != (-2,)], rng)
+
+    monkeypatch.setattr(stallings, "_fold_letters", dropping)
+    monkeypatch.setattr(verify, "_fold_letters", dropping)
+    report, reference = verify_nielsen_xcheck(6), reference_nielsen_xcheck(6)
+    assert report.status == reference.status == "fail"
+    assert (len(report.counterexamples), len(reference.counterexamples)) == (128, 360)
+    assert report.to_json() != reference.to_json()
 
 
 def test_each_sweep_builds_its_own_cache(monkeypatch):

@@ -52,6 +52,7 @@ from freegroups.words import (
     Word,
     _cyclic_strip,
     canonical_rotation,
+    format_word,
     iter_reduced_words,
     parse_word,
     word_sort_key,
@@ -596,6 +597,33 @@ def test_nielsen_xcheck_small():
     assert r.stats["basis_pairs"] > 0
 
 
+def test_nielsen_xcheck_checks_one_pair_per_class(monkeypatch):
+    # of the 11,665 pairs at 6, 1,480 have a relabel-normal concatenation
+    # a b, one per class under the signed permutations of e1 and e2
+    calls = {"_fold_letters": 0, "_basis_pair_letters": 0}
+    for name in calls:
+
+        def counted(*args, name=name, real=getattr(verify, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    report = verify_nielsen_xcheck(6)
+    assert report.passed and report.stats["words_checked"] == 11_665
+    assert calls == {"_fold_letters": 1_480, "_basis_pair_letters": 1_480}
+
+
+def test_nielsen_xcheck_refuses_wrong_class_sizes(monkeypatch):
+    # the class walk reads perm too, so it is replayed from a clean run
+    # and the pair sweep's own count check is what refuses the sizes
+    classes = list(verify._core_classes(2, 6))
+    monkeypatch.setattr(verify, "_core_classes", lambda rank, max_len: iter(classes))
+    monkeypatch.setattr(verify, "perm", lambda n, k: 1)
+    # the sizes become 1, 2 and 4 for pairs using 0, 1 and 2 generators
+    with pytest.raises(RuntimeError, match="hold 5833 pairs, not 11665"):
+        verify_nielsen_xcheck(6)
+
+
 # --- the letter-level routes of npbig and nielsen-xcheck ---
 
 
@@ -634,6 +662,32 @@ def test_sweeps_check_ranks_once_not_per_word(monkeypatch):
     assert count(primitive_density, 3, 1) == count(primitive_density, 3, 8) <= 1
 
 
+def word_nielsen_xcheck(max_pair_len):
+    """nielsen-xcheck on every pair of the ball, reading verify's letter
+    routes at call time, so that a fault planted in verify reaches it
+    too.  A word's primitivity is the minimizer's verdict on it."""
+    ball = [w.letters for w in iter_reduced_words(2, max_pair_len, include_empty=True)]
+    primitive = {w: len(verify._minimize_letters(w, 2, verdict=True)[0]) == 1 for w in ball}
+    counterexamples = []
+    checked = basis_pairs = 0
+    for a in ball:
+        for b in ball:
+            if len(a) + len(b) > max_pair_len:
+                break  # ball is sorted by length
+            checked += 1
+            by_commutator = verify._basis_pair_letters(a, b)
+            ok = by_commutator == verify._is_rose(*verify._fold_letters((a, b)), 2)
+            if ok and by_commutator:
+                basis_pairs += 1
+                ok = primitive[a] and primitive[b]
+            if not ok:
+                counterexamples.append(f"({format_word(Word(a))}, {format_word(Word(b))})")
+    stats = {"words_checked": checked, "basis_pairs": basis_pairs}
+    return VerificationReport(
+        "nielsen-xcheck", {"max_pair_len": max_pair_len}, counterexamples, stats
+    )
+
+
 def _fold_first_only(loops, rng=None):
     return stallings._fold_letters(loops[:1], rng)
 
@@ -668,6 +722,12 @@ def test_each_letter_route_is_consulted(monkeypatch, name, fake, claim, params):
     assert _CLAIMS[claim].run(**params).passed
     monkeypatch.setattr(verify, name, fake)
     assert _CLAIMS[claim].run(**params).status == "fail"
+    if claim == "nielsen-xcheck":
+        # these faults respect the signed permutations of e1 and e2, so the
+        # sweep of one pair per class lists the word sweep's failing pairs
+        for size in (2, 4):
+            report = verify_nielsen_xcheck(size)
+            assert report.to_json() == word_nielsen_xcheck(size).to_json()
 
 
 @pytest.mark.parametrize(
