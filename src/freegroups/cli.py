@@ -9,6 +9,8 @@ command ends (as by `| head`) exit 2.  Any other exception is a fault
 in the program, not a verdict: it prints its traceback and an "internal
 error:" line and exits 3.  Word arguments take either letter form
 ("abA", "a^3B") or whitespace separated indices ("1 2 -1").
+The subcommands are listed once, in build_parser: each subparser names
+its handler as the default run, and main calls it.
 
 --dot and --json overwrite an existing file in place, through a symlink
 and keeping its permissions, and cut it to the new length; they never
@@ -52,49 +54,60 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("reduce", help="freely reduce a word")
+    s.set_defaults(run=_cmd_reduce)
     s.add_argument("word")
 
     s = sub.add_parser("mul", help="multiply two words")
+    s.set_defaults(run=_cmd_mul)
     s.add_argument("w1")
     s.add_argument("w2")
 
     s = sub.add_parser("conjugate", help="test whether two words are conjugate")
+    s.set_defaults(run=_cmd_conjugate)
     s.add_argument("w1")
     s.add_argument("w2")
 
     s = sub.add_parser("wgraph", help="print the Whitehead graph of a word")
+    s.set_defaults(run=_cmd_wgraph)
     s.add_argument("word")
     s.add_argument("--rank", type=int, required=True)
     s.add_argument("--dot", metavar="FILE", type=_output_file, help="also write DOT to FILE")
 
     s = sub.add_parser("cutvertex", help="report separability of the Whitehead graph")
+    s.set_defaults(run=_cmd_cutvertex)
     s.add_argument("word")
     s.add_argument("--rank", type=int, required=True)
 
     s = sub.add_parser("primitive", help="test whether a word is primitive")
+    s.set_defaults(run=_cmd_primitive)
     s.add_argument("word")
     s.add_argument("--rank", type=int, required=True)
     s.add_argument("--trace", action="store_true", help="print the minimization steps")
 
     s = sub.add_parser("nielsen", help="test whether two words form a rank 2 basis")
+    s.set_defaults(run=_cmd_nielsen)
     s.add_argument("a")
     s.add_argument("b")
 
     s = sub.add_parser("fold", help="fold generators into a subgroup graph")
+    s.set_defaults(run=_cmd_fold)
     s.add_argument("gens", nargs="+", metavar="gen")
     s.add_argument("--rank", type=int, required=True)
     s.add_argument("--dot", metavar="FILE", type=_output_file, help="also write DOT to FILE")
 
     s = sub.add_parser("member", help="test subgroup membership by folding")
+    s.set_defaults(run=_cmd_member)
     s.add_argument("word")
     s.add_argument("--rank", type=int, required=True)
     s.add_argument("--subgroup", nargs="+", required=True, metavar="gen")
 
     s = sub.add_parser("density", help="count primitives per word length")
+    s.set_defaults(run=_cmd_density)
     s.add_argument("--rank", type=int, required=True)
     s.add_argument("--max-len", type=int, required=True)
 
     s = sub.add_parser("verify", help="run batch claim checks")
+    s.set_defaults(run=_cmd_verify)
     s.add_argument("claim", metavar="claim_id", help='a claim id, "section3", or "all"')
     s.add_argument("--rank", type=int)
     s.add_argument("--max-len", type=int)
@@ -281,25 +294,10 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-_HANDLERS = {
-    "reduce": _cmd_reduce,
-    "mul": _cmd_mul,
-    "conjugate": _cmd_conjugate,
-    "wgraph": _cmd_wgraph,
-    "cutvertex": _cmd_cutvertex,
-    "primitive": _cmd_primitive,
-    "nielsen": _cmd_nielsen,
-    "fold": _cmd_fold,
-    "member": _cmd_member,
-    "density": _cmd_density,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = _HANDLERS[args.command](args)
+        code = args.run(args)
         sys.stdout.flush()
         return code
     except ValueError as exc:  # covers WordParseError and rank/cap errors

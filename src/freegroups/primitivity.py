@@ -267,11 +267,9 @@ def _power_image(a: int, members: frozenset[int], core: tuple[int, ...]):
             xs.append(x)
             ks.append(0)
     es = [(x in members) - (-y in members) for x, y in zip(xs, xs[1:] + xs[:1])]
-    fixed = len(xs) + sum(abs(k) for k, e in zip(ks, es) if not e)
-    moving = [(k, e) for k, e in zip(ks, es) if e]
 
     def length(m: int) -> int:
-        return fixed + sum(abs(k + m * e) for k, e in moving)
+        return len(xs) + sum(abs(k + m * e) for k, e in zip(ks, es))
 
     m, best = 1, length(1)
     while (trial := length(2 * m)) < best:

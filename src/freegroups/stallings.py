@@ -127,15 +127,11 @@ class SubgroupGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubgroupGraph):
             return NotImplemented
-        return (
-            self.rank == other.rank
-            and self.num_vertices == other.num_vertices
-            and self.num_edges == other.num_edges
-            and self.edges == other.edges
-        )
+        # the canonical edges of a connected graph fix both counts
+        return self.rank == other.rank and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return hash((self.rank, self.num_vertices, self.edges))
+        return hash((self.rank, self.edges))
 
     def __reduce__(self):
         # pickle and copy the numbered graph, not the folded tables

@@ -274,10 +274,12 @@ def _fincov(rank: int, max_len: int):
     """The fincov sweep.  Each translate is settled by _not_primitive:
     first a certified block of w_ij that survives in the cyclic core, then
     the minimizer.  The block is read from the _block_table of w_ij,
-    looked up once per sweep, so the first rung forms no product."""
+    looked up once per sweep, so the first rung forms no product.  The
+    keys of the translates that cover a word give its histogram entry,
+    whether its selected pair covers it, and whether it is a
+    counterexample."""
     translates = [
-        (key, wij, _block_table(wij.letters, rank))
-        for key, wij in sorted(wij_family(rank).items())
+        (key, wij, _block_table(wij.letters, rank)) for key, wij in wij_family(rank).items()
     ]
     counterexamples = []
     histogram: dict[int, int] = {}
@@ -285,18 +287,11 @@ def _fincov(rank: int, max_len: int):
     checked = 0
     for a in iter_reduced_words(rank, max_len, include_empty=True):
         checked += 1
-        selected = select_wij(a)
-        multiplicity = 0
-        selected_covers = False
-        for key, wij, table in translates:
-            if _not_primitive(wij, table, a, rank):
-                multiplicity += 1
-                if key == selected:
-                    selected_covers = True
-        histogram[multiplicity] = histogram.get(multiplicity, 0) + 1
-        if not selected_covers:
+        covered = [key for key, wij, table in translates if _not_primitive(wij, table, a, rank)]
+        histogram[len(covered)] = histogram.get(len(covered), 0) + 1
+        if select_wij(a) not in covered:
             selected_failures += 1
-        if multiplicity == 0:
+        if not covered:
             counterexamples.append(format_word(a))
     if selected_failures == 0 and counterexamples:
         raise RuntimeError(
@@ -528,23 +523,20 @@ def _nielsen_xcheck(max_pair_len: int):
         return verdicts[_gap_key(_cyclic_strip(letters)[0])]
 
     sizes = [2**k * perm(2, k) for k in range(3)]
-    # tails[m]: each word b, with the k generators a b uses, that keeps a b
-    # relabel-normal after an a using m generators, in ball order
-    tails = [[], [], []]
-    for b in ball:
-        for m, tail in enumerate(tails):
-            k = _relabel_extent(b, m)
-            if k is not None:
-                tail.append((b, k))
     position = {w: i for i, w in enumerate(ball)}
     failing = []
     checked = 0
     basis_pairs = 0
-    for a, m in tails[0]:
+    for a in ball:
+        # a uses e1, ..., e_m; a b uses e1, ..., e_k
+        if (m := _relabel_extent(a, 0)) is None:
+            continue
         budget = max_pair_len - len(a)
-        for b, k in tails[m]:
+        for b in ball:
             if len(b) > budget:
                 break  # ball is sorted by length
+            if (k := _relabel_extent(b, m)) is None:
+                continue
             checked += sizes[k]
             by_commutator = _basis_pair_letters(a, b)
             ok = by_commutator == _is_rose(*_fold_letters((a, b)), 2)

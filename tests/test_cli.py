@@ -1,5 +1,6 @@
 """Tests for the command line interface: output, exit codes, file flags."""
 
+import errno
 import json
 import os
 import re
@@ -331,7 +332,7 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     def boom(args):
         raise RuntimeError("broken invariant")
 
-    monkeypatch.setitem(cli._HANDLERS, "reduce", boom)
+    monkeypatch.setattr(cli, "_cmd_reduce", boom)
     code, out, err = run(capsys, "reduce", "ab")
     assert (code, out) == (3, "")
     assert err.splitlines()[-1] == "internal error: RuntimeError: broken invariant"
@@ -447,6 +448,38 @@ def test_output_read_only_file_exits_2(capsys, tmp_path, argv):
     assert err.startswith(f"error: cannot write {target}: ")
     assert "wrote" not in out
     assert target.read_bytes() == b"old report"
+
+
+@pytest.mark.parametrize("argv", OUTPUT_ARGV)
+def test_output_denied_on_open_exits_2(capsys, tmp_path, monkeypatch, argv):
+    # the read-only case above skips as root, who writes through the file
+    # mode, so the denial is planted at the open instead
+    target = tmp_path / "out"
+    target.write_bytes(b"old report")
+    real_open = os.open
+
+    def denied_open(path, flags, *rest, **kwargs):
+        if os.fspath(path) == str(target):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return real_open(path, flags, *rest, **kwargs)
+
+    monkeypatch.setattr(cli.os, "open", denied_open)
+    code, out, err = run(capsys, *argv, str(target))
+    assert code == 2
+    assert err == f"error: cannot write {target}: Permission denied\n"
+    assert "wrote" not in out
+    assert target.read_bytes() == b"old report"
+
+
+@pytest.mark.parametrize("argv", OUTPUT_ARGV)
+def test_output_path_with_nul_byte_exits_2(capsys, tmp_path, argv):
+    # the CLI property draws this path too; os.open refuses it with a
+    # ValueError, not an OSError, so it takes the usage-error route
+    code, out, err = run(capsys, *argv, f"{tmp_path}/o\x00ut")
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "wrote" not in out
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", OUTPUT_ARGV)

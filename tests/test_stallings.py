@@ -424,6 +424,20 @@ def test_pickle_round_trip():
         assert graph_answers(loaded, queries) == graph_answers(g, queries)
 
 
+def test_equality_reads_the_rank_and_the_edges():
+    # == and hash read only the rank and the canonical edges, which fix
+    # both counts of a connected graph
+    loop = Word([1])
+    assert build_subgroup_graph([loop], 1).edges == build_subgroup_graph([loop], 2).edges
+    assert build_subgroup_graph([loop], 1) != build_subgroup_graph([loop], 2)
+    for rank, gens, _, g, _ in fold_corpus():
+        rebuilt = SubgroupGraph(rank, g.num_vertices, g.edges)
+        assert rebuilt == g and hash(rebuilt) == hash(g), gens
+        assert g.num_edges == len(g.edges), gens
+        ends = [max(u, v) for u, _, v in g.edges]
+        assert g.num_vertices == 1 + max(ends, default=0), gens
+
+
 def test_rose_test_numbers_only_candidate_roses():
     # every graph is folded, so the counts alone decide and none is numbered
     for rank, gens, _, g, _ in fold_corpus():
