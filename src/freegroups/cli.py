@@ -158,8 +158,10 @@ def _write(path: str, text: str) -> None:
                 f.write(text)
                 if stat.S_ISREG(os.fstat(fd).st_mode):
                     f.truncate()
-        except OSError as exc:
-            raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+        except (OSError, ValueError) as exc:  # os.open refuses a NUL byte with ValueError
+            # a NUL byte is shown as the text \x00, never written raw to stderr
+            shown, reason = path.replace("\0", r"\x00"), getattr(exc, "strerror", None) or exc
+            raise ValueError(f"cannot write {shown}: {reason}") from None
     print(f"wrote {path}")
 
 

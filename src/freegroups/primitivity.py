@@ -100,6 +100,8 @@ class MinimizationTrace(_Record):
         self.final = final
 
     def to_json_dict(self) -> dict:
+        if self.final is None:
+            raise ValueError(f"minimization trace has no final word (final is None): {self!r}")
         return {
             "start": format_word(self.start),
             "steps": [

@@ -474,10 +474,12 @@ def test_output_denied_on_open_exits_2(capsys, tmp_path, monkeypatch, argv):
 @pytest.mark.parametrize("argv", OUTPUT_ARGV)
 def test_output_path_with_nul_byte_exits_2(capsys, tmp_path, argv):
     # the CLI property draws this path too; os.open refuses it with a
-    # ValueError, not an OSError, so it takes the usage-error route
+    # ValueError, not an OSError; it is refused as a write of that path,
+    # with the NUL byte shown as the text \x00
     code, out, err = run(capsys, *argv, f"{tmp_path}/o\x00ut")
     assert code == 2
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err == f"error: cannot write {tmp_path}/o\\x00ut: embedded null byte\n"
+    assert "\x00" not in err and "Traceback" not in err
     assert "wrote" not in out
     assert list(tmp_path.iterdir()) == []
 

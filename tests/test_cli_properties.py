@@ -16,9 +16,6 @@ import io
 import tempfile
 
 import pytest
-
-pytest.importorskip("hypothesis")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

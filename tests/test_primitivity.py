@@ -7,6 +7,7 @@ import json
 import math
 import random
 
+import networkx as nx
 import pytest
 
 from freegroups import primitivity
@@ -101,6 +102,15 @@ def test_trace_json_form_follows_the_letters():
     # the rank of the call does not travel with the words it returns
     d = whitehead_minimize(Word([1, 2, 1, 2, 1]), 30).to_json_dict()
     assert (d["start"], d["final"]) == ("ababa", "b")
+
+
+def test_trace_json_refuses_a_trace_with_no_final_word():
+    # a trace built by hand before its descent has run names the field it
+    # lacks, as an invalid automorphism descriptor does
+    tr = MinimizationTrace(Word([1]))
+    with pytest.raises(ValueError) as info:
+        tr.to_json_dict()
+    assert str(info.value) == f"minimization trace has no final word (final is None): {tr!r}"
 
 
 def test_step_lengths_strictly_decrease():
@@ -429,7 +439,6 @@ def test_capped_flow_stops_at_bound():
 
 
 def test_max_flow_matches_networkx():
-    nx = pytest.importorskip("networkx")
     rng = random.Random(47)
     for rank in (2, 3, 4, 6):
         for core in random_cores(rng, rank, 15, 30):

@@ -11,10 +11,8 @@ cases stand next to a property wherever a rare branch must be reached.
 
 import random
 
+import networkx as nx
 import pytest
-
-pytest.importorskip("hypothesis")
-
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -198,7 +196,7 @@ def test_edge_matrix_matches_counter_on_drawn_multigraphs(case):
 
 @given(multigraphs())
 def test_separation_matches_networkx_on_drawn_multigraphs(case):
-    check_separation(*case, pytest.importorskip("networkx"))
+    check_separation(*case, nx)
 
 
 @st.composite

@@ -6,6 +6,7 @@ import pickle
 import random
 import re
 
+import hypothesis
 import pytest
 
 from freegroups.stallings import SubgroupGraph, _fold_letters, build_subgroup_graph
@@ -547,7 +548,6 @@ def test_stream_matches_the_wedge_on_nielsen_pairs():
 
 
 def test_stream_matches_the_wedge_on_hypothesis_sets():
-    hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @st.composite

@@ -33,6 +33,7 @@ import json
 import sys
 from functools import cache
 
+import hypothesis
 import pytest
 
 from freegroups import stallings, verify, words
@@ -238,7 +239,6 @@ def test_a_core_its_rotation_inverse_and_relabeling_share_one_class(rank, core, 
 def test_symmetric_images_share_one_class():
     # the derandomized draws can miss a rare shape, so the fixed cases above
     # stand beside this property
-    hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     def signed(rank):

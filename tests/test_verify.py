@@ -13,6 +13,8 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import hypothesis
+import networkx as nx
 import pytest
 
 import freegroups
@@ -312,12 +314,51 @@ def test_fincov_reads_each_block_table_once(monkeypatch):
     assert sorted(reads) == sorted(w.letters for w in wij_family(3).values())
 
 
+def _refuse_ab(selected_only):
+    """_not_primitive with a planted fault: no translate of ab is certified,
+    or, when selected_only, only the one select_wij picks is not."""
+    real, ab = _not_primitive, Word([1, 2])
+    selected = wij_family(2)[select_wij(ab)]
+
+    def refusing(wij, table, a, rank):
+        if a == ab and (wij == selected or not selected_only):
+            return False
+        return real(wij, table, a, rank)
+
+    return refusing
+
+
+@pytest.mark.parametrize(
+    "selected_only,status,counterexamples,histogram",
+    [
+        # a word with an empty cover list is a counterexample, lands on key
+        # "0", and fails its selected pair, which no empty list holds
+        (False, "fail", ["ab"], {"0": 1, "4": 16}),
+        # a word that loses only its selected pair keeps three covers
+        (True, "pass", [], {"3": 1, "4": 16}),
+    ],
+    ids=["no-cover", "selected-pair"],
+)
+def test_fincov_reports_a_planted_cover_fault(
+    monkeypatch, selected_only, status, counterexamples, histogram
+):
+    assert verify_fincov(2, 2).to_json_dict()["stats"]["multiplicity_histogram"] == {"4": 17}
+    monkeypatch.setattr(verify, "_not_primitive", _refuse_ab(selected_only))
+    report = verify_fincov(2, 2).to_json_dict()
+    assert (report["status"], report["counterexamples"]) == (status, counterexamples)
+    assert report["stats"] == {
+        "words_checked": 17,
+        "multiplicity_histogram": histogram,
+        "selected_pair_failures": 1,
+        "seconds": 0.0,
+    }
+
+
 @pytest.mark.parametrize("rank", [2, 3, 4, 5])
 def test_block_table_matches_networkx(rank, monkeypatch):
     # every block w_ij[p:e] of every covering word, judged by networkx on
     # the simple path graph with all 2n letters as nodes; the low-link
     # search under test is patched out while networkx decides
-    nx = pytest.importorskip("networkx")
     from freegroups import whitehead_graph
 
     def refuse(*args, **kwargs):
@@ -350,6 +391,29 @@ def test_block_table_matches_networkx(rank, monkeypatch):
         assert _block_table(w, rank) == ends, w
     # the covering words themselves are certified, so the table is not empty
     assert all(ends[0] is not None for ends in expected.values())
+
+
+def test_block_table_scan_is_monotone(monkeypatch):
+    # the least certified end never falls as the start grows, so one cold
+    # build makes at most 2 |w_ij| certified-block checks: one success per
+    # start and at most |w_ij| failures in all.  A search from p + 2 at
+    # every start makes up to 11.2 |w_ij| at these ranks
+    calls = 0
+    separability = verify._separability
+
+    def counting(m, rank):
+        nonlocal calls
+        calls += 1
+        return separability(m, rank)
+
+    monkeypatch.setattr(verify, "_separability", counting)
+    for rank in range(2, 8):
+        for wij in wij_family(rank).values():
+            _block_table.cache_clear()
+            calls = 0
+            _block_table(wij.letters, rank)
+            assert 0 < calls <= 2 * len(wij), (wij, calls)
+    _block_table.cache_clear()
 
 
 # sha256 of fincov JSON beyond the grid, frozen before the ladder, and
@@ -743,6 +807,56 @@ def test_stacked_generation_reads_the_fold(monkeypatch, claim, generators):
     assert _CLAIMS[claim].run(truncation=3).counterexamples == generators
 
 
+# --- planted faults reach each claim's counterexample branch ---
+
+
+@pytest.mark.parametrize(
+    "claim,params,expected",
+    [
+        # every power block, in sweep order
+        (
+            "fact1",
+            {"rank": 2, "max_m": 2, "max_k": 3},
+            ["a^2", "a^3", "a^2b^2", "a^2b^3", "a^3b^2", "a^3b^3"],
+        ),
+        ("claimII", {"truncation": 2}, ["b^3c^2", "c^2", "b^3c^3d^2", "d^2"]),
+        # each witness e2^3 ... e_n^3 e_{n+1}^2; the generation test holds
+        ("lemma38", {"truncation": 3}, ["b^2", "b^3c^2", "b^3c^3d^2"]),
+    ],
+)
+def test_a_primitivity_fault_reaches_the_witness_branch(monkeypatch, claim, params, expected):
+    assert _CLAIMS[claim].run(**params).passed
+    monkeypatch.setattr(verify, "is_primitive", lambda word, rank: True)
+    report = _CLAIMS[claim].run(**params)
+    assert (report.status, report.counterexamples) == ("fail", expected)
+
+
+@pytest.mark.parametrize(
+    "name,fake,expected",
+    [
+        # c_3 read as c_2, so the telescoping check lists b_1 b_2 b_3
+        ("_c_word", lambda k, real=verify._c_word: real(2 if k == 3 else k), ["ab^3c^3d^2"]),
+        # e1 folded in too: the subgroup holds e1 and has rank N + 1, not N
+        (
+            "build_subgroup_graph",
+            lambda gens, rank, real=build_subgroup_graph: real([*gens, Word([1])], rank),
+            ["a", "cd^2"],
+        ),
+        # b_N left out: the subgroup misses e1 but has rank N - 1
+        (
+            "build_subgroup_graph",
+            lambda gens, rank, real=build_subgroup_graph: real(gens[:-1], rank),
+            ["cd^2"],
+        ),
+    ],
+    ids=["telescoping", "e1-folded-in", "rank-short"],
+)
+def test_claim_one_faults_reach_each_branch(monkeypatch, name, fake, expected):
+    monkeypatch.setattr(verify, name, fake)
+    report = _CLAIMS["claimI"].run(truncation=3)
+    assert (report.status, report.counterexamples) == ("fail", expected)
+
+
 # --- abelianization: a third route for "no" ---
 
 
@@ -942,7 +1056,6 @@ def test_npbig_hands_the_minimizer_the_matrix_it_tested(monkeypatch):
 def test_first_matrix_handoff_changes_nothing():
     # _minimize_letters given the first step's matrix returns the same core
     # and steps as without it, in the verdict mode and in the trace mode
-    hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     def signed(rank):

@@ -13,6 +13,7 @@ import re
 import sys
 from collections import Counter
 
+import networkx as nx
 import pytest
 
 from freegroups.cli import main
@@ -299,7 +300,6 @@ def test_articulation_matches_brute_force_rank3_longer_sample():
 
 
 def test_separation_matches_networkx():
-    nx = pytest.importorskip("networkx")
     rng = random.Random(24)
     for _ in range(500):
         rank = rng.randint(1, 6)
@@ -400,7 +400,6 @@ def test_edge_matrix_matches_counter_on_multigraphs():
 
 
 def test_separation_matches_networkx_on_multigraphs():
-    nx = pytest.importorskip("networkx")
     rng = random.Random(29)
     cases = FIXED_MULTIGRAPHS + [random_multigraph(rng) for _ in range(600)]
     for edges, gens in cases:
@@ -408,7 +407,7 @@ def test_separation_matches_networkx_on_multigraphs():
 
 
 def test_fixed_multigraph_cut_vertices():
-    # the expected answers written out, for when networkx is missing
+    # the expected answers written out, so these cases rest on no library
     expected = [
         (2, []), (2, []), (3, []), (2, [2]), (2, [0]), (2, []), (2, [0]), (3, [2, 3]),
         (4, [1]),
